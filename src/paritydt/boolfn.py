@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError, DomainError, FunctionSpecError
-from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _rref_bits, _span_order, parity
+from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _rref_bits, _solve_bits, _span_order, parity
 
 __all__ = [
     "BooleanFunction",
@@ -122,6 +122,15 @@ class RestrictedFunction:
 
     def evaluate(self, x: Gf2Vector) -> int:
         return self.local.value_at(local_point(self, x))
+
+    def lift_form(self, w: int) -> tuple[int, int]:
+        """The least ambient form c and the bit r with <y, w> = <x, c> + r
+        for every local point y and its ambient point x."""
+        rows = self.basis.row_bits
+        sol = _solve_bits(rows, [(w >> i) & 1 for i in range(len(rows))], self.ambient.ncols)
+        assert sol is not None, "frame rows are independent, so every form lifts"
+        c = sol.min_member_bits()
+        return c, parity(self.offset.bits & c)
 
 
 def as_restricted(f: BooleanFunction) -> RestrictedFunction:

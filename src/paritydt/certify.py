@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .boolfn import BooleanFunction, restrict
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Coset, Gf2Vector, _kernel_bits, _solve_bits, _span_order, enumerate_subspaces, parity
-from .parity import CERT_MAX_ARITY, ParityCertificate, _frames
+from .gf2 import Coset, Gf2Vector, _solve_bits, _span_order, parity
+from .parity import CERT_MAX_ARITY, ParityCertificate, dual_frames
 
 __all__ = [
     "ParityOracle",
@@ -79,10 +79,7 @@ def _min_one_certificate(rf) -> tuple[tuple[int, ...], list[int]] | None:
     if table == 0:
         return None
     for k in range(m + 1):
-        level = _frames(m)[k] if m <= 5 else (
-            (s.basis.row_bits, tuple(_kernel_bits(list(s.basis.row_bits), m))) for s in enumerate_subspaces(m, k)
-        )
-        for wrows, vrows in level:
+        for wrows, vrows in dual_frames(m, k):
             span = _span_order(list(vrows))
             for rhs in range(1 << k):
                 # offset: pivot coordinates of the dual rows carry the rhs
@@ -116,12 +113,14 @@ def evaluate_via_certificates(
         found = _min_one_certificate(rf)
         assert found is not None, "nonconstant restriction has a 1-input"
         wrows, rhs = found
-        rows, amb_rhs = _lift_rows(rf, wrows, rhs)
+        lifted = [rf.lift_form(w) for w in wrows]
+        rows = [c for c, _ in lifted]
+        amb_rhs = [b ^ r for b, (_, r) in zip(rhs, lifted)]
         answers = tuple(oracle.query(Gf2Vector(n, c)) for c in rows)
-        cert_coset = _solve_bits(list(rows), list(amb_rhs), n)
+        cert_coset = _solve_bits(rows, amb_rhs, n)
         assert cert_coset is not None
         step_rows = tuple(Gf2Vector(n, c) for c in rows)
-        matched = list(answers) == list(amb_rhs)
+        matched = list(answers) == amb_rhs
         if matched:
             trace.append(TraceStep(domain, ParityCertificate(cert_coset, 1), step_rows, answers, True, None))
             return 1, oracle.queries, trace
@@ -131,25 +130,6 @@ def evaluate_via_certificates(
         assert nxt is not None, "the hidden input satisfies its own answers"
         trace.append(TraceStep(domain, ParityCertificate(cert_coset, 1), step_rows, answers, False, nxt))
         domain = nxt
-
-
-def _lift_rows(rf, wrows, rhs_bits) -> tuple[list[int], list[int]]:
-    """Ambient rows and rhs for local constraints <y, w> = r."""
-    n = rf.ambient.ncols
-    erows = list(rf.basis.row_bits)
-    rows = []
-    out_rhs = []
-    for w, r in zip(wrows, rhs_bits):
-        if rf.offset.bits == 0 and erows == [1 << i for i in range(n)]:
-            rows.append(w)
-            out_rhs.append(r)
-            continue
-        sol = _solve_bits(erows, [(w >> i) & 1 for i in range(len(erows))], n)
-        assert sol is not None
-        cb = sol.min_member_bits()
-        rows.append(cb)
-        out_rhs.append(r ^ parity(rf.offset.bits & cb))
-    return rows, out_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +204,7 @@ def _anchored_min_certificate(f: BooleanFunction, xb: int) -> tuple[list[int], l
     n = f.arity
     table = f.table
     for k in range(n + 1):
-        level = _frames(n)[k] if n <= 5 else (
-            (s.basis.row_bits, tuple(_kernel_bits(list(s.basis.row_bits), n))) for s in enumerate_subspaces(n, k)
-        )
-        for wrows, vrows in level:
+        for wrows, vrows in dual_frames(n, k):
             if all((table >> (xb ^ v)) & 1 for v in _span_order(list(vrows))):
                 return list(wrows), [parity(w & xb) for w in wrows]
     raise AssertionError("unreachable: the anchor's point coset certifies")

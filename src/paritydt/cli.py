@@ -12,30 +12,29 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 
-from . import boolfn, certify, classical, comm, construct, parity
-from .boolfn import BooleanFunction, fourier, parse_function_spec, restrict, rotate, shift
+from . import __version__, certify, classical, comm, construct, parity
+from .boolfn import BooleanFunction, fourier, parse_function_spec
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, enumerate_subspaces, parity as bit_parity, sample_gl
+from .gf2 import Gf2Vector, parity as bit_parity
 from .parity import MeasureValue
+from .theorems import THEOREM_IDS, Family, VerificationResult, run_verification_suite
 
 __all__ = [
     "VERSION",
     "MEASURE_NAMES",
     "THEOREM_IDS",
+    "Family",
     "VerificationResult",
     "run_verification_suite",
     "run",
     "main",
 ]
 
-VERSION = "0.1.0"
+VERSION = __version__
 
 MEASURE_NAMES = (
     "d", "c", "c0", "c1", "bs",
@@ -43,482 +42,6 @@ MEASURE_NAMES = (
     "di", "ci", "bsi",
 )
 _SAMPLED_CAPABLE = frozenset({"wbsxor", "bsxor", "di", "ci", "bsi"})
-
-THEOREM_IDS = (
-    "eq1", "eq2", "thm1", "thm2", "prop-cd", "eq-coplusc",
-    "monotone", "invariance", "rank-sparsity", "thmnc-cost",
-    "lemma-exp", "example-nonmonotone",
-)
-
-_VIOLATION_CAP = 5
-
-
-# ---------------------------------------------------------------------------
-# function families
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Family:
-    kind: str
-    n: int
-    count: int | None = None
-    seed: int = 0
-
-    @property
-    def spec(self) -> str:
-        if self.kind == "random":
-            return f"random:{self.n}:{self.count}:{self.seed}"
-        if self.kind == "zoo":
-            return f"zoo:all:{self.n}"
-        return f"exhaustive:{self.n}"
-
-
-def parse_family(text: str) -> Family:
-    parts = text.split(":")
-    try:
-        if parts[0] == "exhaustive" and len(parts) == 2:
-            return Family("exhaustive", int(parts[1]))
-        if parts[0] == "random" and len(parts) == 4:
-            return Family("random", int(parts[1]), int(parts[2]), int(parts[3]))
-        if parts[0] == "zoo" and len(parts) == 3 and parts[1] == "all":
-            return Family("zoo", int(parts[2]))
-    except ValueError:
-        pass
-    raise ParitydtError(
-        f"bad family {text!r}; expected exhaustive:n, random:n:count:seed or zoo:all:n"
-    )
-
-
-def _family_tables(fam: Family) -> list[int]:
-    size = 1 << fam.n
-    if fam.kind == "exhaustive":
-        if fam.n > 4:
-            raise BudgetExceededError(
-                f"exhaustive families materialize 2^(2^n) functions; limited to n <= 4, got {fam.n}"
-            )
-        return list(range(1 << size))
-    if fam.kind == "random":
-        rnd = random.Random(fam.seed)
-        return [rnd.getrandbits(size) for _ in range(fam.count or 0)]
-    names = ["and", "or", "parity", "dictator"]
-    if fam.n % 2 == 1:
-        names.append("maj")
-    if fam.n == 3:
-        names.append("example31")
-    return [construct.zoo(name, fam.n).table for name in sorted(names)]
-
-
-# ---------------------------------------------------------------------------
-# theorem checkers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TheoremBudget:
-    max_exhaustive_n: int
-    max_n: int
-    constraint: str
-
-
-_THEOREM_BUDGETS: dict[str, TheoremBudget] = {
-    "eq1": TheoremBudget(4, 8, "decision tree depth search"),
-    "eq2": TheoremBudget(4, 8, "block sensitivity packing search"),
-    "thm1": TheoremBudget(4, 6, "parity tree depth search"),
-    "thm2": TheoremBudget(3, 4, "exact parity block sensitivity (full coset and basis enumeration)"),
-    "prop-cd": TheoremBudget(4, 6, "parity tree depth search"),
-    "eq-coplusc": TheoremBudget(3, 4, "full GL(n,2) certificate sweep per function"),
-    "monotone": TheoremBudget(3, 4, "exact parity block sensitivity on every coset restriction"),
-    "invariance": TheoremBudget(3, 4, "exact parity block sensitivity per transformed function"),
-    "rank-sparsity": TheoremBudget(4, 6, "exact integer rank elimination on a 2^n x 2^n matrix"),
-    "thmnc-cost": TheoremBudget(3, 4, "protocol simulation over all 4^n input pairs"),
-    "lemma-exp": TheoremBudget(3, 4, "linearity scan over every coset and parity"),
-    "example-nonmonotone": TheoremBudget(4, 24, "fixed instance, family ignored"),
-}
-
-
-def _fmt(n: int, table: int) -> str:
-    return BooleanFunction(n, table).spec
-
-
-def _check_eq1(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        if f.is_constant():
-            continue
-        d = classical.decision_depth(f)[0]
-        z, o = classical.c0(f), classical.c1(f)
-        if d > z * o:
-            viol.append({"function": _fmt(n, t), "d": d, "c0": z, "c1": o})
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_eq2(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        b = classical.bs(f)
-        cv = classical.c(f)
-        if not b <= cv <= b * b:
-            viol.append({"function": _fmt(n, t), "bs": b, "c": cv})
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_thm1(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        if f.is_constant():
-            continue
-        d = parity.parity_depth(f)[0]
-        z, o = parity.c0_xor(f), parity.c1_xor(f)
-        if d > z * o:
-            viol.append({"function": _fmt(n, t), "dxor": d, "c0xor": z, "c1xor": o})
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_thm2(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        b = parity.parity_bs(f)[0]
-        cv = parity.c_xor(f)
-        if not b <= cv <= b * b:
-            viol.append({"function": _fmt(n, t), "bsxor": b, "cxor": cv})
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_prop_cd(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        cv = parity.c_xor(f)
-        d = parity.parity_depth(f)[0]
-        if cv > d:
-            viol.append({"function": _fmt(n, t), "cxor": cv, "dxor": d})
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _apply_rows(rows: tuple[int, ...], v: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        out |= ((r & v).bit_count() & 1) << i
-    return out
-
-
-def _check_eq_coplusc(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    size = 1 << n
-    mats = classical._gl_list(n)
-    images = [tuple(_apply_rows(b.row_bits, y) for y in range(size)) for b in mats]
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        target = parity._cxor_profile(n, t)
-        best = bytearray([255]) * size
-        for b, img in zip(mats, images):
-            prof = classical._certificate_profile(n, rotate(f, b).table)
-            for y in range(size):
-                x = img[y]
-                if prof[y] < best[x]:
-                    best[x] = prof[y]
-        if bytes(best) != target:
-            x = next(i for i in range(size) if best[i] != target[i])
-            viol.append(
-                {"function": _fmt(n, t), "x": Gf2Vector(n, x).to_string(),
-                 "coset_search": target[x], "gl_min": best[x]}
-            )
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _proper_cosets(n: int) -> list[Coset]:
-    out = []
-    for k in range(1, n + 1):
-        for s in enumerate_subspaces(n, k):
-            for rhs in range(1 << k):
-                out.append(Coset(n, s.basis, Gf2Vector(k, rhs)))
-    return out
-
-
-def _check_monotone(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    cosets = _proper_cosets(n)
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        cx = parity.c_xor(f)
-        bx = parity.parity_bs(f)[0]
-        bad = None
-        for h in cosets:
-            rf = restrict(f, h)
-            crf = parity.c_xor(rf)
-            brf = parity.parity_bs(rf.local)[0]
-            if crf > cx or brf > bx:
-                bad = {"function": _fmt(n, t), "coset": h.to_jsonable(),
-                       "cxor": cx, "cxor_restricted": crf,
-                       "bsxor": bx, "bsxor_restricted": brf}
-                break
-        if bad:
-            viol.append(bad)
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_invariance(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        base = (parity.parity_depth(f)[0], parity.c_xor(f), parity.parity_bs(f)[0])
-        rnd = random.Random(f"invariance:{seed}:{n}:{t}")
-        transforms: list[tuple[str, object]] = [
-            ("shift", Gf2Vector(n, rnd.randrange(1 << n))) for _ in range(20)
-        ]
-        gl_seed = rnd.getrandbits(63)
-        transforms += [("rotate", b) for b in sample_gl(n, 20, gl_seed)]
-        bad = None
-        for kind, arg in transforms:
-            g = shift(f, arg) if kind == "shift" else rotate(f, arg)
-            got = (parity.parity_depth(g)[0], parity.c_xor(g), parity.parity_bs(g)[0])
-            if got != base:
-                bad = {"function": _fmt(n, t), "transform": kind,
-                       "arg": arg.to_string() if kind == "shift" else arg.to_jsonable(),
-                       "base": list(base), "transformed": list(got)}
-                break
-        if bad:
-            viol.append(bad)
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_rank_sparsity(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        r = comm.xor_matrix_rank(f)
-        s = fourier(f).sparsity
-        if r != s:
-            viol.append({"function": _fmt(n, t), "rank": r, "sparsity": s})
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_thmnc_cost(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    size = 1 << n
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        if t == 0:
-            continue
-        f = BooleanFunction(n, t)
-        ess = certify.essential_certificate_set(f)
-        bad = None
-        try:
-            certify.verify_essential_set(f, ess)
-        except ParitydtError as e:
-            bad = {"function": _fmt(n, t), "essential_set": str(e)}
-        d, k = ess.codim, ess.size
-        if bad is None and k > (1 << d) * (3 * n) ** d:
-            bad = {"function": _fmt(n, t), "k": k, "k_bound": (1 << d) * (3 * n) ** d}
-        cost = comm.nondet_cost_bound(ess)
-        if bad is None:
-            for xb in range(size):
-                for yb in range(size):
-                    tr = comm.nondet_protocol(f, ess, Gf2Vector(n, xb), Gf2Vector(n, yb))
-                    want = f.value_at(xb ^ yb)
-                    if tr.output != want:
-                        bad = {"function": _fmt(n, t), "x": xb, "y": yb,
-                               "output": tr.output, "expected": want}
-                        break
-                    if tr.output == 1 and tr.total_bits != cost:
-                        bad = {"function": _fmt(n, t), "x": xb, "y": yb,
-                               "bits": tr.total_bits, "cost": cost}
-                        break
-                if bad:
-                    break
-        if bad:
-            viol.append(bad)
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _all_cosets_with_members(n: int) -> list[tuple[Coset, tuple[int, ...]]]:
-    out = [(Coset.full_space(n), tuple(range(1 << n)))]
-    for h in _proper_cosets(n):
-        out.append((h, tuple(h.member_bits())))
-    return out
-
-
-def _check_lemma_exp(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    cosets = _all_cosets_with_members(n)
-    size = 1 << n
-    count, viol = 0, []
-    for t in tables:
-        count += 1
-        f = BooleanFunction(n, t)
-        cf = classical.c(f)
-        df = classical.decision_depth(f)[0]
-        bad = None
-        first = True
-        for h, members in cosets:
-            for s in range(size):
-                if any(((t >> x) & 1) != bit_parity(x & s) for x in members):
-                    continue
-                if first:
-                    # route one instance per function through the full checker
-                    r = construct.check_linear_on_coset_bound(f, h, Gf2Vector(n, s))
-                    tv, ok = r.tau, r.holds and r.holds_depth
-                    first = False
-                else:
-                    tv = construct.tau(h.constraints, Gf2Vector(n, s))
-                    ok = cf >= tv and df >= tv
-                if not ok:
-                    bad = {"function": _fmt(n, t), "coset": h.to_jsonable(),
-                           "s": Gf2Vector(n, s).to_string(), "tau": tv, "c": cf, "d": df}
-                    break
-            if bad:
-                break
-        if bad:
-            viol.append(bad)
-            if len(viol) >= _VIOLATION_CAP:
-                break
-    return count, viol
-
-
-def _check_example_nonmonotone(n: int, tables: list[int], seed: int) -> tuple[int, list[dict]]:
-    f = construct.zoo("example31", 3)
-    h = Coset(3, Gf2Matrix.from_bits([1], 3), Gf2Vector(1, 0))
-    rf = restrict(f, h)
-    w_f = parity.wbs_xor(f)
-    w_r = parity.wbs_xor(rf)
-    wbs_at_zero = parity.weak_parity_bs(rf.local, Gf2Vector(2, 0))[0]
-    bsx = parity.parity_bs(f)[0]
-    facts = {
-        "wbsxor": (w_f, 1),
-        "restriction_is_or2": (rf.local.table, construct.zoo("or", 2).table),
-        "restriction_wbs_at_zero": (wbs_at_zero, 2),
-        "restriction_wbsxor": (w_r, 2),
-        "strict_increase": (int(w_f < w_r), 1),
-        "bsxor_at_least_2": (int(bsx >= 2), 1),
-    }
-    viol = [
-        {"function": f.spec, "fact": name, "got": got, "expected": want}
-        for name, (got, want) in facts.items()
-        if got != want
-    ]
-    return 1, viol[:_VIOLATION_CAP]
-
-
-_CHECKERS = {
-    "eq1": _check_eq1,
-    "eq2": _check_eq2,
-    "thm1": _check_thm1,
-    "thm2": _check_thm2,
-    "prop-cd": _check_prop_cd,
-    "eq-coplusc": _check_eq_coplusc,
-    "monotone": _check_monotone,
-    "invariance": _check_invariance,
-    "rank-sparsity": _check_rank_sparsity,
-    "thmnc-cost": _check_thmnc_cost,
-    "lemma-exp": _check_lemma_exp,
-    "example-nonmonotone": _check_example_nonmonotone,
-}
-
-
-# ---------------------------------------------------------------------------
-# verification runner
-# ---------------------------------------------------------------------------
-
-@dataclass
-class VerificationResult:
-    theorem: str
-    family: str
-    instances: int
-    violations: list[dict]
-    runtime_ms: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_jsonable(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "family": self.family,
-            "instances": self.instances,
-            "passed": self.passed,
-            "violations": self.violations,
-            "runtime_ms": self.runtime_ms,
-        }
-
-
-def _check_suite_budgets(fam: Family, theorems: list[str]) -> None:
-    for th in theorems:
-        b = _THEOREM_BUDGETS[th]
-        if fam.kind == "exhaustive" and fam.n > b.max_exhaustive_n:
-            raise BudgetExceededError(
-                f"{th} over exhaustive:{fam.n} refused: {b.constraint} "
-                f"(exhaustive limit n <= {b.max_exhaustive_n})"
-            )
-        if fam.n > b.max_n:
-            raise BudgetExceededError(
-                f"{th} at n = {fam.n} refused: {b.constraint} (limit n <= {b.max_n})"
-            )
-
-
-def _run_chunk(args: tuple[str, int, list[int], int]) -> tuple[int, list[dict]]:
-    theorem, n, tables, seed = args
-    return _CHECKERS[theorem](n, tables, seed)
-
-
-def run_verification_suite(
-    family: Family | str, theorems: list[str], threads: int | None = None
-) -> list[VerificationResult]:
-    fam = parse_family(family) if isinstance(family, str) else family
-    for th in theorems:
-        if th not in _CHECKERS:
-            raise ParitydtError(f"unknown theorem {th!r}; known: {', '.join(THEOREM_IDS)}")
-    _check_suite_budgets(fam, theorems)
-    tables = _family_tables(fam)
-    workers = threads if threads and threads > 0 else 1
-    results = []
-    for th in theorems:
-        t0 = time.perf_counter()
-        if th == "example-nonmonotone" or workers == 1 or len(tables) < 4 * workers:
-            inst, viol = _CHECKERS[th](fam.n, tables, fam.seed)
-        else:
-            step = -(-len(tables) // (4 * workers))
-            chunks = [tables[i : i + step] for i in range(0, len(tables), step)]
-            inst, viol = 0, []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for ci, cv in pool.map(_run_chunk, [(th, fam.n, ch, fam.seed) for ch in chunks]):
-                    inst += ci
-                    viol.extend(cv)
-            viol = viol[:_VIOLATION_CAP]
-        ms = int(1000 * (time.perf_counter() - t0))
-        results.append(VerificationResult(th, fam.spec, inst, viol, ms))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("measure", help="compute measures of one function")
     m.add_argument("--fn", required=True, help="tt:<n>:<bits>, anf:<n>:<poly> or zoo:<name>:<n>")
     m.add_argument("--measures", required=True, help=f"comma list of {','.join(MEASURE_NAMES)}")
-    fmt = m.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true")
+    m.add_argument("--csv", action="store_true", help="flat CSV instead of JSON")
     m.add_argument("--sample", type=int, default=None,
                    help="beyond exact budgets, fall back to this many samples")
     m.add_argument("--seed", type=int, default=0)

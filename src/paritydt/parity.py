@@ -10,17 +10,19 @@ enumeration order within, so witnesses are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .boolfn import (
     BooleanFunction,
     RestrictedFunction,
+    _table_xor_translate,
     as_restricted,
     local_point,
     restrict,
 )
-from .classical import _max_packing
+from .classical import _aggregate, _max_packing
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
@@ -204,6 +206,16 @@ def _frames(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     return tuple(out)
 
 
+def dual_frames(m: int, k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(dual basis rows, direction basis rows) of every codimension-k
+    subspace of {0,1}^m, in enumerate_subspaces order; cached for m <= 5."""
+    if m <= 5:
+        return _frames(m)[k]
+    return (
+        (s.basis.row_bits, tuple(_kernel_bits(list(s.basis.row_bits), m))) for s in enumerate_subspaces(m, k)
+    )
+
+
 _profile_cache: dict[tuple[int, int], bytes] = {}
 
 
@@ -226,16 +238,12 @@ def _cxor_profile(m: int, table: int) -> bytes:
         if m <= 4:
             _profile_cache[(m, table)] = res
         return res
-    frames = _frames(m) if m <= 5 else None
     for k in range(m + 1):
-        level = frames[k] if frames is not None else (
-            (s.basis.row_bits, tuple(_kernel_bits(list(s.basis.row_bits), m))) for s in enumerate_subspaces(m, k)
-        )
-        for _wrows, vrows in level:
+        for _wrows, vrows in dual_frames(m, k):
             or_t = and_t = table
             for v in vrows:
-                or_t |= _translate(or_t, m, v)
-                and_t &= _translate(and_t, m, v)
+                or_t |= _table_xor_translate(or_t, m, v)
+                and_t &= _table_xor_translate(and_t, m, v)
             eq = full & ~(or_t ^ and_t)
             new = eq & remaining
             while new:
@@ -251,12 +259,6 @@ def _cxor_profile(m: int, table: int) -> bytes:
     if m <= 4:
         _profile_cache[(m, table)] = res
     return res
-
-
-def _translate(t: int, m: int, v: int) -> int:
-    from .boolfn import _table_xor_translate
-
-    return _table_xor_translate(t, m, v)
 
 
 def parity_certificate(
@@ -276,44 +278,14 @@ def parity_certificate(
     table = rf.local.table
     want = (table >> y) & 1
     for k in range(m + 1):
-        level = _frames(m)[k] if m <= 5 else (
-            (s.basis.row_bits, tuple(_kernel_bits(list(s.basis.row_bits), m))) for s in enumerate_subspaces(m, k)
-        )
-        for wrows, vrows in level:
+        for wrows, vrows in dual_frames(m, k):
             if all(((table >> (y ^ v)) & 1) == want for v in _span_order(list(vrows))):
-                rhs = [parity(w & y) for w in wrows]
-                coset = _lift_certificate(rf, wrows, rhs)
+                # the lifted coset passes through x, so x fixes each rhs
+                rows = [rf.lift_form(w)[0] for w in wrows]
+                coset = _solve_bits(rows, [parity(c & x.bits) for c in rows], rf.ambient.ncols)
+                assert coset is not None and coset.codim == k, "lifted constraints stay independent"
                 return k, ParityCertificate(coset, want)
     raise AssertionError("unreachable: the point coset always certifies")
-
-
-def _lift_certificate(rf: RestrictedFunction, wrows, rhs_bits) -> Coset:
-    """Express local constraints <y, w> = r as an ambient canonical coset."""
-    n = rf.ambient.ncols
-    erows = list(rf.basis.row_bits)
-    if rf.offset.bits == 0 and erows == [1 << i for i in range(n)]:
-        got = _solve_bits(list(wrows), list(rhs_bits), n)
-        assert got is not None
-        return got
-    amb_rows = []
-    amb_rhs = []
-    for w, r in zip(wrows, rhs_bits):
-        sol = _solve_bits(erows, [(w >> i) & 1 for i in range(len(erows))], n)
-        assert sol is not None, "frame rows are independent, so the lift always solves"
-        cb = sol.min_member_bits()
-        amb_rows.append(cb)
-        amb_rhs.append(r ^ parity(rf.offset.bits & cb))
-    got = _solve_bits(amb_rows, amb_rhs, n)
-    assert got is not None and got.codim == len(amb_rows), "lifted constraints stay independent"
-    return got
-
-
-def _aggregate_xor(profile: bytes, table: int, value: int) -> int | None:
-    best = None
-    for idx, sz in enumerate(profile):
-        if ((table >> idx) & 1) == value and (best is None or sz > best):
-            best = sz
-    return best
 
 
 def _check_cert_budget(rf: RestrictedFunction):
@@ -325,13 +297,13 @@ def c0_xor(f: BooleanFunction | RestrictedFunction) -> int | None:
     """Max parity certificate size over 0-inputs; None if f has none."""
     rf = _localize(f)
     _check_cert_budget(rf)
-    return _aggregate_xor(_cxor_profile(rf.local.arity, rf.local.table), rf.local.table, 0)
+    return _aggregate(_cxor_profile(rf.local.arity, rf.local.table), rf.local.table, 0)
 
 
 def c1_xor(f: BooleanFunction | RestrictedFunction) -> int | None:
     rf = _localize(f)
     _check_cert_budget(rf)
-    return _aggregate_xor(_cxor_profile(rf.local.arity, rf.local.table), rf.local.table, 1)
+    return _aggregate(_cxor_profile(rf.local.arity, rf.local.table), rf.local.table, 1)
 
 
 def c_xor(f: BooleanFunction | RestrictedFunction) -> int:
@@ -476,31 +448,21 @@ def parity_depth(f: BooleanFunction | RestrictedFunction) -> tuple[int, ParityDe
     d, _ = _dxor(m, rf.local.table)
     tree = _rebuild_tree(m, rf.local.table)
     if isinstance(f, RestrictedFunction):
-        tree = _lift_tree_general(tree, rf)
+        tree = _to_ambient(tree, rf)
     return d, tree
 
 
-def _lift_tree_general(t: ParityDecisionTree, rf: RestrictedFunction) -> ParityDecisionTree:
-    n = rf.ambient.ncols
-    erows = list(rf.basis.row_bits)
-    if rf.offset.bits == 0 and erows == [1 << i for i in range(n)]:
+def _to_ambient(t: ParityDecisionTree, rf: RestrictedFunction) -> ParityDecisionTree:
+    """Re-express a tree over rf's local coordinates as one over ambient
+    inputs; a lifted query whose offset bit is 1 answers opposite to its
+    local form, so the children swap."""
+    if isinstance(t, ParityLeaf):
         return t
-
-    def lift(node: ParityDecisionTree) -> ParityDecisionTree:
-        if isinstance(node, ParityLeaf):
-            return node
-        w = node.query.bits
-        sol = _solve_bits(erows, [(w >> i) & 1 for i in range(len(erows))], n)
-        assert sol is not None
-        cb = sol.min_member_bits()
-        # the offset may flip the branch labelling
-        flip = parity(rf.offset.bits & cb)
-        c0t, c1t = lift(node.child0), lift(node.child1)
-        if flip:
-            c0t, c1t = c1t, c0t
-        return ParityQuery(Gf2Vector(n, cb), c0t, c1t)
-
-    return lift(t)
+    c, flip = rf.lift_form(t.query.bits)
+    c0t, c1t = _to_ambient(t.child0, rf), _to_ambient(t.child1, rf)
+    if flip:
+        c0t, c1t = c1t, c0t
+    return ParityQuery(Gf2Vector(rf.ambient.ncols, c), c0t, c1t)
 
 
 # ---------------------------------------------------------------------------

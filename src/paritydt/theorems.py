@@ -1,0 +1,430 @@
+"""The paper's statements as checks over function families.
+
+Each theorem is a predicate on one function (and the family seed) that
+returns a violation record, or None when the function satisfies the
+statement.  One driver sweeps a predicate over a family, counts the
+instances, keeps the first few violations, and can split the family
+across worker processes.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import lru_cache
+
+from . import certify, classical, comm, construct, parity
+from .boolfn import BooleanFunction, fourier, restrict, rotate, shift
+from .errors import BudgetExceededError, ParitydtError
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, enumerate_gl, enumerate_subspaces, parity as bit_parity, sample_gl
+
+__all__ = [
+    "Family",
+    "Theorem",
+    "THEOREMS",
+    "THEOREM_IDS",
+    "VerificationResult",
+    "parse_family",
+    "run_verification_suite",
+]
+
+_VIOLATION_CAP = 5
+
+
+# ---------------------------------------------------------------------------
+# function families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    kind: str
+    n: int
+    count: int | None = None
+    seed: int = 0
+
+    @property
+    def spec(self) -> str:
+        if self.kind == "random":
+            return f"random:{self.n}:{self.count}:{self.seed}"
+        if self.kind == "zoo":
+            return f"zoo:all:{self.n}"
+        return f"exhaustive:{self.n}"
+
+
+def parse_family(text: str) -> Family:
+    parts = text.split(":")
+    try:
+        if parts[0] == "exhaustive" and len(parts) == 2:
+            return Family("exhaustive", int(parts[1]))
+        if parts[0] == "random" and len(parts) == 4:
+            return Family("random", int(parts[1]), int(parts[2]), int(parts[3]))
+        if parts[0] == "zoo" and len(parts) == 3 and parts[1] == "all":
+            return Family("zoo", int(parts[2]))
+    except ValueError:
+        pass
+    raise ParitydtError(
+        f"bad family {text!r}; expected exhaustive:n, random:n:count:seed or zoo:all:n"
+    )
+
+
+def _family_tables(fam: Family) -> list[int]:
+    size = 1 << fam.n
+    if fam.kind == "exhaustive":
+        if fam.n > 4:
+            raise BudgetExceededError(
+                f"exhaustive families materialize 2^(2^n) functions; limited to n <= 4, got {fam.n}"
+            )
+        return list(range(1 << size))
+    if fam.kind == "random":
+        rnd = random.Random(fam.seed)
+        return [rnd.getrandbits(size) for _ in range(fam.count or 0)]
+    names = ["and", "or", "parity", "dictator"]
+    if fam.n % 2 == 1:
+        names.append("maj")
+    if fam.n == 3:
+        names.append("example31")
+    return [construct.zoo(name, fam.n).table for name in sorted(names)]
+
+
+# ---------------------------------------------------------------------------
+# per-arity data shared by the predicates
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _proper_cosets(n: int) -> tuple[tuple[Coset, tuple[int, ...]], ...]:
+    """Every coset of codimension >= 1 with its members, by codimension,
+    then subspace order, then right-hand side."""
+    out = []
+    for k in range(1, n + 1):
+        for s in enumerate_subspaces(n, k):
+            for rhs in range(1 << k):
+                h = Coset(n, s.basis, Gf2Vector(k, rhs))
+                out.append((h, tuple(h.member_bits())))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def _gl_images(n: int) -> tuple[tuple[Gf2Matrix, tuple[int, ...]], ...]:
+    """Every invertible B with its image table y -> B y, in enumeration order."""
+    out = []
+    for b in enumerate_gl(n):
+        rows = b.row_bits
+        img = tuple(
+            sum(((r & y).bit_count() & 1) << i for i, r in enumerate(rows)) for y in range(1 << n)
+        )
+        out.append((b, img))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# predicates
+# ---------------------------------------------------------------------------
+
+def _eq1(f: BooleanFunction, seed: int) -> dict | None:
+    """D(f) <= C0(f) * C1(f)."""
+    if f.is_constant():
+        return None
+    d = classical.decision_depth(f)[0]
+    z, o = classical.c0(f), classical.c1(f)
+    if d > z * o:
+        return {"function": f.spec, "d": d, "c0": z, "c1": o}
+    return None
+
+
+def _eq2(f: BooleanFunction, seed: int) -> dict | None:
+    """bs(f) <= C(f) <= bs(f)^2."""
+    b, cv = classical.bs(f), classical.c(f)
+    if not b <= cv <= b * b:
+        return {"function": f.spec, "bs": b, "c": cv}
+    return None
+
+
+def _thm1(f: BooleanFunction, seed: int) -> dict | None:
+    """D+(f) <= C0+(f) * C1+(f)."""
+    if f.is_constant():
+        return None
+    d = parity.parity_depth(f)[0]
+    z, o = parity.c0_xor(f), parity.c1_xor(f)
+    if d > z * o:
+        return {"function": f.spec, "dxor": d, "c0xor": z, "c1xor": o}
+    return None
+
+
+def _thm2(f: BooleanFunction, seed: int) -> dict | None:
+    """bs+(f) <= C+(f) <= bs+(f)^2."""
+    b, cv = parity.parity_bs(f)[0], parity.c_xor(f)
+    if not b <= cv <= b * b:
+        return {"function": f.spec, "bsxor": b, "cxor": cv}
+    return None
+
+
+def _prop_cd(f: BooleanFunction, seed: int) -> dict | None:
+    """C+(f) <= D+(f)."""
+    cv, d = parity.c_xor(f), parity.parity_depth(f)[0]
+    if cv > d:
+        return {"function": f.spec, "cxor": cv, "dxor": d}
+    return None
+
+
+def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
+    """At every input, the coset certificate size equals the least
+    classical certificate size over all changes of basis."""
+    n, size = f.arity, 1 << f.arity
+    target = parity._cxor_profile(n, f.table)
+    best = bytearray([255]) * size
+    for b, img in _gl_images(n):
+        prof = classical._certificate_profile(n, rotate(f, b).table)
+        for y in range(size):
+            x = img[y]
+            if prof[y] < best[x]:
+                best[x] = prof[y]
+    if bytes(best) == target:
+        return None
+    x = next(i for i in range(size) if best[i] != target[i])
+    return {"function": f.spec, "x": Gf2Vector(n, x).to_string(),
+            "coset_search": target[x], "gl_min": best[x]}
+
+
+def _monotone(f: BooleanFunction, seed: int) -> dict | None:
+    """C+ and bs+ do not grow under restriction to a coset."""
+    cx, bx = parity.c_xor(f), parity.parity_bs(f)[0]
+    for h, _ in _proper_cosets(f.arity):
+        rf = restrict(f, h)
+        crf = parity.c_xor(rf)
+        brf = parity.parity_bs(rf.local)[0]
+        if crf > cx or brf > bx:
+            return {"function": f.spec, "coset": h.to_jsonable(),
+                    "cxor": cx, "cxor_restricted": crf,
+                    "bsxor": bx, "bsxor_restricted": brf}
+    return None
+
+
+def _parity_measures(f: BooleanFunction) -> tuple[int, int, int]:
+    return parity.parity_depth(f)[0], parity.c_xor(f), parity.parity_bs(f)[0]
+
+
+def _invariance(f: BooleanFunction, seed: int) -> dict | None:
+    """D+, C+ and bs+ are unchanged by 20 seeded shifts and 20 seeded
+    changes of basis."""
+    n = f.arity
+    base = _parity_measures(f)
+    rnd = random.Random(f"invariance:{seed}:{n}:{f.table}")
+    transforms: list[tuple[str, object]] = [
+        ("shift", Gf2Vector(n, rnd.randrange(1 << n))) for _ in range(20)
+    ]
+    transforms += [("rotate", b) for b in sample_gl(n, 20, rnd.getrandbits(63))]
+    for kind, arg in transforms:
+        got = _parity_measures(shift(f, arg) if kind == "shift" else rotate(f, arg))
+        if got != base:
+            return {"function": f.spec, "transform": kind,
+                    "arg": arg.to_string() if kind == "shift" else arg.to_jsonable(),
+                    "base": list(base), "transformed": list(got)}
+    return None
+
+
+def _rank_sparsity(f: BooleanFunction, seed: int) -> dict | None:
+    """rank of the XOR matrix f(x + y) equals the Fourier sparsity."""
+    r, s = comm.xor_matrix_rank(f), fourier(f).sparsity
+    if r != s:
+        return {"function": f.spec, "rank": r, "sparsity": s}
+    return None
+
+
+def _thmnc_cost(f: BooleanFunction, seed: int) -> dict | None:
+    """The essential set is valid and small, and the nondeterministic
+    protocol built on it is correct at its stated cost on every pair."""
+    if f.table == 0:
+        return None
+    n = f.arity
+    ess = certify.essential_certificate_set(f)
+    try:
+        certify.verify_essential_set(f, ess)
+    except ParitydtError as e:
+        return {"function": f.spec, "essential_set": str(e)}
+    d, k = ess.codim, ess.size
+    if k > (1 << d) * (3 * n) ** d:
+        return {"function": f.spec, "k": k, "k_bound": (1 << d) * (3 * n) ** d}
+    cost = comm.nondet_cost_bound(ess)
+    for xb in range(1 << n):
+        for yb in range(1 << n):
+            tr = comm.nondet_protocol(f, ess, Gf2Vector(n, xb), Gf2Vector(n, yb))
+            want = f.value_at(xb ^ yb)
+            if tr.output != want:
+                return {"function": f.spec, "x": xb, "y": yb,
+                        "output": tr.output, "expected": want}
+            if tr.output == 1 and tr.total_bits != cost:
+                return {"function": f.spec, "x": xb, "y": yb,
+                        "bits": tr.total_bits, "cost": cost}
+    return None
+
+
+def _lemma_exp(f: BooleanFunction, seed: int) -> dict | None:
+    """Wherever f is linear on a coset, C(f) and D(f) are at least tau."""
+    n, t = f.arity, f.table
+    cf, df = classical.c(f), classical.decision_depth(f)[0]
+    full = (Coset.full_space(n), tuple(range(1 << n)))
+    first = True
+    for h, members in (full, *_proper_cosets(n)):
+        for s in range(1 << n):
+            if any(((t >> x) & 1) != bit_parity(x & s) for x in members):
+                continue
+            if first:
+                # route one instance per function through the full checker
+                r = construct.check_linear_on_coset_bound(f, h, Gf2Vector(n, s))
+                tv, ok = r.tau, r.holds and r.holds_depth
+                first = False
+            else:
+                tv = construct.tau(h.constraints, Gf2Vector(n, s))
+                ok = cf >= tv and df >= tv
+            if not ok:
+                return {"function": f.spec, "coset": h.to_jsonable(),
+                        "s": Gf2Vector(n, s).to_string(), "tau": tv, "c": cf, "d": df}
+    return None
+
+
+def _example_nonmonotone(f: BooleanFunction, seed: int) -> dict | None:
+    """Example 3.1: restricting to x1 = 0 raises wbs+ from 1 to 2."""
+    rf = restrict(f, Coset(3, Gf2Matrix.from_bits([1], 3), Gf2Vector(1, 0)))
+    w_f, w_r = parity.wbs_xor(f), parity.wbs_xor(rf)
+    facts = {
+        "wbsxor": (w_f, 1),
+        "restriction_is_or2": (rf.local.table, construct.zoo("or", 2).table),
+        "restriction_wbs_at_zero": (parity.weak_parity_bs(rf.local, Gf2Vector(2, 0))[0], 2),
+        "restriction_wbsxor": (w_r, 2),
+        "strict_increase": (int(w_f < w_r), 1),
+        "bsxor_at_least_2": (int(parity.parity_bs(f)[0] >= 2), 1),
+    }
+    for name, (got, want) in facts.items():
+        if got != want:
+            return {"function": f.spec, "fact": name, "got": got, "expected": want}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Theorem:
+    """A predicate with the arity limits its searches can afford.
+
+    ``instance``, when set, is a fixed function checked instead of the
+    family's members.
+    """
+
+    check: Callable[[BooleanFunction, int], dict | None]
+    max_exhaustive_n: int
+    max_n: int
+    constraint: str
+    instance: BooleanFunction | None = None
+
+
+THEOREMS: dict[str, Theorem] = {
+    "eq1": Theorem(_eq1, 4, 8, "decision tree depth search"),
+    "eq2": Theorem(_eq2, 4, 8, "block sensitivity packing search"),
+    "thm1": Theorem(_thm1, 4, 6, "parity tree depth search"),
+    "thm2": Theorem(_thm2, 3, 4, "exact parity block sensitivity (full coset and basis enumeration)"),
+    "prop-cd": Theorem(_prop_cd, 4, 6, "parity tree depth search"),
+    "eq-coplusc": Theorem(_eq_coplusc, 3, 4, "full GL(n,2) certificate sweep per function"),
+    "monotone": Theorem(_monotone, 3, 4, "exact parity block sensitivity on every coset restriction"),
+    "invariance": Theorem(_invariance, 3, 4, "exact parity block sensitivity per transformed function"),
+    "rank-sparsity": Theorem(_rank_sparsity, 4, 6, "exact integer rank elimination on a 2^n x 2^n matrix"),
+    "thmnc-cost": Theorem(_thmnc_cost, 3, 4, "protocol simulation over all 4^n input pairs"),
+    "lemma-exp": Theorem(_lemma_exp, 3, 4, "linearity scan over every coset and parity"),
+    "example-nonmonotone": Theorem(
+        _example_nonmonotone, 4, 24, "fixed instance, family ignored", construct.zoo("example31", 3)
+    ),
+}
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+# ---------------------------------------------------------------------------
+# driver
+# ---------------------------------------------------------------------------
+
+@dataclass
+class VerificationResult:
+    theorem: str
+    family: str
+    instances: int
+    violations: list[dict]
+    runtime_ms: int
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_jsonable(self) -> dict:
+        return {
+            "theorem": self.theorem,
+            "family": self.family,
+            "instances": self.instances,
+            "passed": self.passed,
+            "violations": self.violations,
+            "runtime_ms": self.runtime_ms,
+        }
+
+
+def _check_budgets(fam: Family, theorems: list[str]) -> None:
+    for th in theorems:
+        b = THEOREMS[th]
+        if fam.kind == "exhaustive" and fam.n > b.max_exhaustive_n:
+            raise BudgetExceededError(
+                f"{th} over exhaustive:{fam.n} refused: {b.constraint} "
+                f"(exhaustive limit n <= {b.max_exhaustive_n})"
+            )
+        if fam.n > b.max_n:
+            raise BudgetExceededError(
+                f"{th} at n = {fam.n} refused: {b.constraint} (limit n <= {b.max_n})"
+            )
+
+
+def _sweep(job: tuple[str, int, list[int], int]) -> tuple[int, list[dict]]:
+    """(instances checked, violations) of one theorem over some tables;
+    stops at the violation cap."""
+    theorem, n, tables, seed = job
+    check = THEOREMS[theorem].check
+    count, viol = 0, []
+    for t in tables:
+        count += 1
+        v = check(BooleanFunction(n, t), seed)
+        if v is not None:
+            viol.append(v)
+            if len(viol) >= _VIOLATION_CAP:
+                break
+    return count, viol
+
+
+def run_verification_suite(
+    family: Family | str, theorems: list[str], threads: int | None = None
+) -> list[VerificationResult]:
+    fam = parse_family(family) if isinstance(family, str) else family
+    for th in theorems:
+        if th not in THEOREMS:
+            raise ParitydtError(f"unknown theorem {th!r}; known: {', '.join(THEOREM_IDS)}")
+    _check_budgets(fam, theorems)
+    tables = _family_tables(fam)
+    workers = threads if threads and threads > 0 else 1
+    results = []
+    for th in theorems:
+        t0 = time.perf_counter()
+        fixed = THEOREMS[th].instance
+        n, items = (fam.n, tables) if fixed is None else (fixed.arity, [fixed.table])
+        if workers == 1 or len(items) < 4 * workers:
+            inst, viol = _sweep((th, n, items, fam.seed))
+        else:
+            step = -(-len(items) // (4 * workers))
+            jobs = [(th, n, items[i : i + step], fam.seed) for i in range(0, len(items), step)]
+            inst, viol = 0, []
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for ci, cv in pool.map(_sweep, jobs):
+                    inst += ci
+                    viol.extend(cv)
+            viol = viol[:_VIOLATION_CAP]
+        ms = int(1000 * (time.perf_counter() - t0))
+        results.append(VerificationResult(th, fam.spec, inst, viol, ms))
+    return results

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from paritydt import cli
+from paritydt import cli, theorems
 from paritydt.cli import run
 
 
@@ -127,12 +128,33 @@ def test_verify_random_family_deterministic(capsys):
     assert strip_runtimes(a) == strip_runtimes(b)
 
 
-def test_verify_threads_match_serial(capsys):
-    base = ["verify", "--family", "exhaustive:3", "--theorems", "eq1"]
+_THREAD_CASES = [("exhaustive:3", "eq1", 256)] + [
+    ("random:3:20:5", t, 1 if t == "example-nonmonotone" else 20) for t in cli.THEOREM_IDS
+]
+
+
+@pytest.mark.parametrize(
+    "family,theorem,instances", _THREAD_CASES, ids=[f"{fam}-{th}" for fam, th, _ in _THREAD_CASES]
+)
+def test_verify_threads_match_serial(capsys, family, theorem, instances):
+    base = ["verify", "--family", family, "--theorems", theorem]
     _, serial = run_json(capsys, base)
     _, parallel = run_json(capsys, base + ["--threads", "2"])
     assert strip_runtimes(serial) == strip_runtimes(parallel)
-    assert serial["results"][0]["instances"] == 256
+    assert serial["results"][0]["instances"] == instances
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREM_IDS)
+def test_verify_every_theorem_exhaustive2(capsys, theorem):
+    code, got = run_json(
+        capsys, ["verify", "--family", "exhaustive:2", "--theorems", theorem]
+    )
+    assert code == 0
+    r = got["results"][0]
+    assert r["theorem"] == theorem
+    assert r["passed"] is True
+    assert r["violations"] == []
+    assert r["instances"] == (1 if theorem == "example-nonmonotone" else 16)
 
 
 def test_verify_refusals(capsys):
@@ -150,10 +172,11 @@ def test_verify_usage_errors(capsys):
 
 
 def test_verify_reports_violations(capsys, monkeypatch):
-    def always_fails(n, tables, seed):
-        return len(tables), [{"function": "tt:1:01", "detail": "planted"}]
+    def fails_on_01(f, seed):
+        return {"function": "tt:1:01", "detail": "planted"} if f.spec == "tt:1:01" else None
 
-    monkeypatch.setitem(cli._CHECKERS, "eq1", always_fails)
+    planted = dataclasses.replace(theorems.THEOREMS["eq1"], check=fails_on_01)
+    monkeypatch.setitem(theorems.THEOREMS, "eq1", planted)
     code, got = run_json(capsys, ["verify", "--family", "exhaustive:1", "--theorems", "eq1"])
     assert code == 1
     r = got["results"][0]
