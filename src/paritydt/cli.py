@@ -355,6 +355,16 @@ def _fourier_command(ns: argparse.Namespace) -> tuple[int, dict]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="paritydt",
@@ -366,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--fn", required=True, help="tt:<n>:<bits>, anf:<n>:<poly> or zoo:<name>:<n>")
     m.add_argument("--measures", required=True, help=f"comma list of {','.join(MEASURE_NAMES)}")
     m.add_argument("--csv", action="store_true", help="flat CSV instead of JSON")
-    m.add_argument("--sample", type=int, default=None,
+    m.add_argument("--sample", type=_positive_int, default=None,
                    help="beyond exact budgets, fall back to this many samples")
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--max-exact-n", type=int, default=None,

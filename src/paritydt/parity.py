@@ -14,6 +14,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .boolfn import (
     BooleanFunction,
     RestrictedFunction,
@@ -22,7 +24,7 @@ from .boolfn import (
     local_point,
     restrict,
 )
-from .classical import _aggregate, _max_packing
+from .classical import _aggregate
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
@@ -468,6 +470,20 @@ def _to_ambient(t: ParityDecisionTree, rf: RestrictedFunction) -> ParityDecision
 # ---------------------------------------------------------------------------
 # weak parity block sensitivity
 # ---------------------------------------------------------------------------
+#
+# The block bitmap of local point y through a basis marks the subset
+# indices s >= 1 whose span vector v flips f at y.  With sens[y, v] =
+# [f(y ^ v) != f(y)] and W[v, j] = 2^s for the s-th vector of basis j's
+# span (subset-counter order), the bitmaps of every point through every
+# basis are the one matmul sens @ W; a packing lookup turns them
+# into block sensitivities.  The matmul runs in floating point (BLAS) and
+# is exact: each code is a sum of distinct powers of two below 2^(2^m),
+# within float32's 24-bit significand up to m = 4 and float64's at m = 5.
+# Both caps below are structural, so --max-exact-n does not move them.
+
+PACKING_TABLE_MAX_DIM = 4
+BITMAP_MAX_DIM = 5
+
 
 @lru_cache(maxsize=8)
 def _sorted_bases(m: int) -> tuple[tuple[int, ...], ...]:
@@ -491,35 +507,66 @@ def _sorted_bases(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _span_weights(m: int, spans: list[list[int]]) -> np.ndarray:
+    """W with W[spans[j][s], j] = 2^s for s >= 1; row 0 stays 0."""
+    w = np.zeros((1 << m, len(spans)), dtype=np.float32 if m <= PACKING_TABLE_MAX_DIM else np.float64)
+    w[np.array(spans)[:, 1:], np.arange(len(spans))[:, None]] = 1 << np.arange(1, 1 << m)
+    return w
+
+
 @lru_cache(maxsize=8)
-def _basis_sums(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(basis, signed-sum table over subsets) for every unordered basis."""
-    out = []
-    for basis in _sorted_bases(m):
-        out.append((basis, tuple(_span_order(list(basis)))))
-    return tuple(out)
+def _basis_weights(m: int) -> np.ndarray:
+    """Span weights of every unordered basis, columns in _sorted_bases order."""
+    if m > BITMAP_MAX_DIM:
+        raise BudgetExceededError(f"block bitmaps limited to dimension <= {BITMAP_MAX_DIM}, got {m}")
+    w = _span_weights(m, [_span_order(list(b)) for b in _sorted_bases(m)])
+    w.setflags(write=False)
+    return w
 
 
-def _wbs_point(m: int, table: int, y: int) -> tuple[int, tuple[int, ...]]:
-    full = (1 << (1 << m)) - 1
-    if table == 0 or table == full:
-        return 0, tuple(1 << i for i in range(m))
-    fy = (table >> y) & 1
-    best = None
-    best_basis = None
-    for basis, sums in _basis_sums(m):
-        bm = 0
-        for s_idx in range(1, 1 << m):
-            if ((table >> (y ^ sums[s_idx])) & 1) != fy:
-                bm |= 1 << s_idx
-        v = _max_packing(m, bm)
-        if best is None or v < best:
-            best, best_basis = v, basis
-            if best == 1:
+def _packing_dp(m: int, codes: np.ndarray) -> np.ndarray:
+    """classical._max_packing(m, s) for every bitmap s in ``codes``: the
+    same DP over coordinate masks, run on all the bitmaps at once."""
+    dp = [np.zeros(codes.shape, dtype=np.int8)]
+    for mask in range(1, 1 << m):
+        ib = mask & -mask
+        rest = mask ^ ib
+        best = dp[rest].copy()
+        sub = rest
+        while True:
+            blk = sub | ib
+            np.maximum(best, dp[mask ^ blk] + 1, out=best, where=((codes >> blk) & 1).astype(bool))
+            if sub == 0:
                 break
-    if best is None:  # m == 0: no bases, nothing to flip
-        return 0, ()
-    return best, best_basis
+            sub = (sub - 1) & rest
+        dp.append(best)
+    return dp[-1]
+
+
+@lru_cache(maxsize=PACKING_TABLE_MAX_DIM + 1)
+def _packing_table(m: int) -> np.ndarray:
+    """The packing value of every bitmap over the 2^m block masks (64 KiB
+    of int8 at m = 4), built on first use."""
+    if not 0 <= m <= PACKING_TABLE_MAX_DIM:
+        raise BudgetExceededError(f"packing table limited to dimension <= {PACKING_TABLE_MAX_DIM}, got {m}")
+    # in chunks of 4096 bitmaps, so the DP's temporaries stay small
+    codes = np.arange(1 << (1 << m), dtype=np.uint16)
+    out = np.concatenate([_packing_dp(m, c) for c in np.split(codes, max(1, codes.size >> 12))])
+    out.setflags(write=False)
+    return out
+
+
+def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = slice(None)) -> np.ndarray:
+    """Block sensitivity of the local table at the chosen points (rows)
+    through every basis whose span weights are a column of ``weights``."""
+    pts = np.arange(1 << m)
+    bits = (table >> pts) & 1
+    near = bits[pts[points, None] ^ pts]  # near[i, v] = f(y_i ^ v)
+    codes = ((near != near[:, :1]).astype(weights.dtype) @ weights).astype(np.intp)
+    if m <= PACKING_TABLE_MAX_DIM:
+        return _packing_table(m)[codes]
+    # no 2^(2^m)-entry table: run the DP on the bitmaps, one point at a time
+    return np.stack([_packing_dp(m, row) for row in codes])
 
 
 def _basis_matrix(m: int, basis: tuple[int, ...]) -> Gf2Matrix:
@@ -538,6 +585,7 @@ def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector) -> tup
     """min over bases B of the block sensitivity of f(B y) at B^-1 x.
 
     Exhausts all unordered bases; exact for effective dimension <= 4.
+    The witness is the first minimizing basis in _sorted_bases order.
     """
     rf = _localize(f)
     m = rf.local.arity
@@ -547,37 +595,35 @@ def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector) -> tup
             "use sampled_weak_parity_bs"
         )
     y = local_point(rf, x)
-    v, basis = _wbs_point(m, rf.local.table, y)
-    return v, _basis_matrix(m, basis)
+    vals = _block_packings(m, rf.local.table, _basis_weights(m), slice(y, y + 1))[0]
+    i = int(vals.argmin())
+    return int(vals[i]), _basis_matrix(m, _sorted_bases(m)[i])
 
 
 def sampled_weak_parity_bs(
     f: BooleanFunction | RestrictedFunction, x: Gf2Vector, samples: int, seed: int
 ) -> tuple[int, Gf2Matrix]:
-    """Seeded sampled variant (upper bound only); dimension <= 5."""
+    """Seeded sampled variant (upper bound only); dimension <= 5.
+
+    Tries the identity and ``samples`` seeded invertible matrices; the
+    witness is the first minimizing one.
+    """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     rf = _localize(f)
     m = rf.local.arity
     if m > WBS_SAMPLED_MAX_DIM:
         raise BudgetExceededError(f"sampled_weak_parity_bs limited to dimension <= {WBS_SAMPLED_MAX_DIM}, got {m}")
-    y = local_point(rf, x)
     table = rf.local.table
     full = (1 << (1 << m)) - 1
     if table == 0 or table == full:
         return 0, Gf2Matrix.identity(m)
-    fy = (table >> y) & 1
-    best = None
-    best_b = None
-    for b in [Gf2Matrix.identity(m)] + sample_gl(m, samples, seed):
-        cols = b.transpose().row_bits
-        sums = _span_order(list(cols))
-        bm = 0
-        for s_idx in range(1, 1 << m):
-            if ((table >> (y ^ sums[s_idx])) & 1) != fy:
-                bm |= 1 << s_idx
-        v = _max_packing(m, bm)
-        if best is None or v < best:
-            best, best_b = v, b
-    return best, best_b
+    mats = [Gf2Matrix.identity(m)] + sample_gl(m, samples, seed)
+    weights = _span_weights(m, [_span_order(list(b.transpose().row_bits)) for b in mats])
+    y = local_point(rf, x)
+    vals = _block_packings(m, table, weights, slice(y, y + 1))[0]
+    i = int(vals.argmin())
+    return int(vals[i]), mats[i]
 
 
 _wbs_agg_cache: dict[tuple[int, int], int] = {}
@@ -591,13 +637,7 @@ def _wbs_aggregate(m: int, table: int) -> int:
     if table == 0 or table == full:
         out = 0
     else:
-        out = 0
-        for y in range(1 << m):
-            v, _ = _wbs_point(m, table, y)
-            if v > out:
-                out = v
-                if out == m:
-                    break
+        out = int(_block_packings(m, table, _basis_weights(m)).min(axis=1).max())
     if m <= 4:
         _wbs_agg_cache[(m, table)] = out
     return out
@@ -616,31 +656,45 @@ def wbs_xor(f: BooleanFunction | RestrictedFunction) -> int:
 # parity block sensitivity
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _coset_scan(n: int) -> tuple[tuple[Coset, int, tuple[int, ...]], ...]:
+    """Every coset of {0,1}^n in parity_bs scan order (decreasing
+    dimension, enumerate_subspaces order, increasing rhs), with its
+    dimension and its members in restrict's canonical frame order."""
+    out = []
+    for dim in range(n, -1, -1):
+        for sub in enumerate_subspaces(n, dim):
+            wrows = _kernel_bits(list(sub.basis.row_bits), n)
+            for rhs in range(1 << len(wrows)):
+                coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
+                off = coset.min_member_bits()
+                out.append((coset, dim, tuple(off ^ p for p in _span_order(coset.direction_rows()))))
+    return tuple(out)
+
+
 def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     """max over cosets H of wbs_xor(f restricted to H), with a witness H.
 
     Scans directions by decreasing dimension (canonical subspace order),
-    right-hand sides increasing.
+    right-hand sides increasing; the witness is the first maximizer.
     """
     n = f.arity
     if n > PBS_EXACT_MAX_ARITY:
         raise BudgetExceededError(
             f"parity_bs exact search limited to arity <= {PBS_EXACT_MAX_ARITY}, got {n}; use sampled_parity_bs"
         )
+    t = f.table
     best = -1
     witness = None
-    for dim in range(n, -1, -1):
-        for sub in enumerate_subspaces(n, dim):
-            wrows = _kernel_bits(list(sub.basis.row_bits), n)
-            k = len(wrows)
-            for rhs in range(1 << k):
-                coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(k, rhs))
-                rf = restrict(f, coset)
-                v = _wbs_aggregate(rf.local.arity, rf.local.table)
-                if v > best:
-                    best, witness = v, coset
-                    if best == n:
-                        return best, witness
+    for coset, dim, pts in _coset_scan(n):
+        local = 0
+        for y, p in enumerate(pts):
+            local |= ((t >> p) & 1) << y
+        v = _wbs_aggregate(dim, local)
+        if v > best:
+            best, witness = v, coset
+            if best == n:
+                break
     return best, witness
 
 
@@ -649,6 +703,8 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
     of the true maximum, from the cosets tried)."""
     import random
 
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
     if n > PBS_SAMPLED_MAX_ARITY:
         raise BudgetExceededError(f"sampled_parity_bs limited to arity <= {PBS_SAMPLED_MAX_ARITY}, got {n}")

@@ -77,6 +77,16 @@ def test_measure_sampled_fallback(capsys):
     assert code2 == 2 and err.startswith("refused:")
 
 
+@pytest.mark.parametrize("measure", ["bsxor", "wbsxor"])
+@pytest.mark.parametrize("sample", ["0", "-1"])
+def test_measure_rejects_non_positive_sample(capsys, measure, sample):
+    argv = ["measure", "--fn", "zoo:and:5", "--measures", measure, "--sample", sample]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sample: must be >= 1" in captured.err
+
+
 def test_measure_extended_budget(capsys):
     argv = ["measure", "--fn", "anf:13:x1*x2", "--measures", "c", "--max-exact-n", "13"]
     code, got = run_json(capsys, argv)

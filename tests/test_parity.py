@@ -1,13 +1,18 @@
+import functools
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, parse_function_spec, restrict
+from paritydt.classical import _max_packing
 from paritydt.errors import BudgetExceededError, DomainError
-from paritydt.gf2 import Coset, Gf2Vector, parity
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _kernel_bits, _span_order, enumerate_subspaces, parity
 from paritydt.parity import (
     MeasureValue,
     ParityLeaf,
@@ -141,6 +146,63 @@ def oracle_pbs(f):
         g = BooleanFunction(m, table)
         best = max(best, max((oracle_wbs_point(g, y) for y in range(1 << m)), default=0))
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def reference_bases(m):
+    return tuple((basis, _span_order(list(basis))) for basis in parity_mod._sorted_bases(m))
+
+
+def reference_wbs_point(m, table, y):
+    """The scalar basis scan: per unordered basis (in _sorted_bases
+    order) the bitmap of sensitive subset sums, its packing, and the
+    first strict minimum as the witness."""
+    full = (1 << (1 << m)) - 1
+    if table == 0 or table == full:
+        return 0, tuple(1 << i for i in range(m))
+    fy = (table >> y) & 1
+    flips = [((table >> (y ^ v)) & 1) != fy for v in range(1 << m)]
+    best = None
+    best_basis = None
+    for basis, sums in reference_bases(m):
+        bm = sum(1 << s_idx for s_idx in range(1, 1 << m) if flips[sums[s_idx]])
+        v = _max_packing(m, bm)
+        if best is None or v < best:
+            best, best_basis = v, basis
+            if best == 1:
+                break
+    return best, best_basis
+
+
+_reference_wbs_memo = {}
+
+
+def reference_wbs_xor(m, table):
+    got = _reference_wbs_memo.get((m, table))
+    if got is None:
+        got = max(reference_wbs_point(m, table, y)[0] for y in range(1 << m))
+        _reference_wbs_memo[(m, table)] = got
+    return got
+
+
+def reference_parity_bs(f):
+    """The restrict-per-coset scan: directions by decreasing dimension in
+    enumerate_subspaces order, right-hand sides increasing, first strict
+    maximum as the witness."""
+    n = f.arity
+    best, witness = -1, None
+    for dim in range(n, -1, -1):
+        for sub in enumerate_subspaces(n, dim):
+            wrows = _kernel_bits(list(sub.basis.row_bits), n)
+            for rhs in range(1 << len(wrows)):
+                coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
+                rf = restrict(f, coset)
+                v = reference_wbs_xor(rf.local.arity, rf.local.table)
+                if v > best:
+                    best, witness = v, coset
+                    if best == n:
+                        return best, witness
+    return best, witness
 
 
 tables4 = st.integers(min_value=0, max_value=(1 << 16) - 1)
@@ -373,9 +435,92 @@ def test_wbs_budget():
         sampled_weak_parity_bs(BooleanFunction(6, 0), Gf2Vector(6, 0), 2, 0)
 
 
+def test_wbs_refuses_dimension_beyond_bitmaps(monkeypatch):
+    # --max-exact-n can lift the exact cap, but 2^m-bit codes stop at m = 5
+    monkeypatch.setattr(parity_mod, "WBS_EXACT_MAX_DIM", 6)
+    with pytest.raises(BudgetExceededError):
+        wbs_xor(parse_function_spec("zoo:and:6"))
+    with pytest.raises(BudgetExceededError):
+        weak_parity_bs(parse_function_spec("zoo:and:6"), Gf2Vector(6, 0))
+
+
+def test_sampled_wbs_rejects_no_samples():
+    f = BooleanFunction(4, 0x6A3C)
+    for samples in (0, -1):
+        with pytest.raises(DomainError):
+            sampled_weak_parity_bs(f, Gf2Vector(4, 0), samples, 0)
+
+
+def test_packing_table_matches_scalar_dp():
+    for m in range(4):
+        table = parity_mod._packing_table(m)
+        assert table.dtype == "int8" and table.size == 1 << (1 << m)
+        assert [int(v) for v in table] == [_max_packing(m, s) for s in range(1 << (1 << m))]
+    table = parity_mod._packing_table(4)
+    assert table.nbytes == 1 << 16
+    for s in list(range(0, 1 << 16, 97)) + [(1 << 16) - 2, (1 << 16) - 1]:
+        assert int(table[s]) == _max_packing(4, s)
+
+
+def test_packing_dp_above_table_matches_scalar_dp():
+    rnd = random.Random(17)
+    codes = [rnd.getrandbits(32) & ~1 for _ in range(150)] + [0, (1 << 32) - 2, 1 << 31]
+    got = parity_mod._packing_dp(5, np.array(codes, dtype=np.intp))
+    assert [int(v) for v in got] == [_max_packing(5, s) for s in codes]
+
+
+def test_packing_table_refuses_large_dimension_at_once():
+    tracemalloc.start()
+    try:
+        for m in (5, 6):
+            with pytest.raises(BudgetExceededError):
+                parity_mod._packing_table(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _assert_wbs_matches_reference(f):
+    m = f.arity
+    for y in range(1 << m):
+        v, b = weak_parity_bs(f, Gf2Vector(m, y))
+        ref_v, ref_basis = reference_wbs_point(m, f.table, y)
+        assert (v, b.transpose().row_bits) == (ref_v, ref_basis), (f.spec, y)
+    assert wbs_xor(f) == reference_wbs_xor(m, f.table)
+
+
+def test_wbs_witnesses_match_reference_all_n3():
+    for n in (1, 2, 3):
+        for t in range(1 << (1 << n)):
+            _assert_wbs_matches_reference(BooleanFunction(n, t))
+
+
+def test_wbs_witnesses_match_reference_n4_seeded():
+    rnd = random.Random(2024)
+    tables = [0, 0xFFFF, 0x8000, 0x6996, 0xE8E8] + [rnd.getrandbits(16) for _ in range(200)]
+    for t in tables:
+        _assert_wbs_matches_reference(BooleanFunction(4, t))
+
+
 # ---------------------------------------------------------------------------
 # parity block sensitivity
 # ---------------------------------------------------------------------------
+
+def test_pbs_witness_matches_reference_all_n3():
+    for n in (1, 2, 3):
+        for t in range(1 << (1 << n)):
+            f = BooleanFunction(n, t)
+            assert parity_bs(f) == reference_parity_bs(f), f.spec
+
+
+def test_pbs_witness_matches_reference_n4_seeded():
+    rnd = random.Random(2024)
+    tables = [0, 0xFFFF, 0x8000, 0x6996, 0xE8E8] + [rnd.getrandbits(16) for _ in range(200)]
+    for t in tables:
+        f = BooleanFunction(4, t)
+        assert parity_bs(f) == reference_parity_bs(f), f.spec
+
 
 def test_pbs_matches_oracle_n2():
     for t in range(16):
@@ -421,6 +566,13 @@ def test_sampled_pbs_bounds():
     f5 = BooleanFunction(5, rnd.getrandbits(32))
     v, coset = sampled_parity_bs(f5, samples=10, seed=5)
     assert wbs_xor(restrict(f5, coset)) == v
+
+
+def test_sampled_pbs_rejects_no_samples():
+    for n in (4, 5):
+        for samples in (0, -1):
+            with pytest.raises(DomainError):
+                sampled_parity_bs(BooleanFunction(n, 1), samples, 0)
 
 
 def test_pbs_budget():
