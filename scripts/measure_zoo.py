@@ -11,7 +11,6 @@ from paritydt.classical import bs, c, decision_depth
 from paritydt.comm import xor_matrix_rank
 from paritydt.construct import zoo
 from paritydt.errors import BudgetExceededError
-from paritydt.gf2 import Gf2Vector
 from paritydt.parity import (
     c0_xor,
     c1_xor,
@@ -49,10 +48,7 @@ def cell(fn, sampled=None):
 
 def measure_row(name: str, n: int, sample: bool, seed: int) -> list[str]:
     f = zoo(name, n)
-    points = [Gf2Vector(n, xb) for xb in range(1 << n)]
-    wbs_est = (lambda: ("<=", max(
-        sampled_weak_parity_bs(f, x, samples=200, seed=seed)[0]
-        for x in points))) if sample else None
+    wbs_est = (lambda: ("<=", sampled_weak_parity_bs(f, None, samples=200, seed=seed)[0])) if sample else None
     bsx_est = (lambda: (">=", sampled_parity_bs(f, samples=200, seed=seed)[0])) if sample else None
     return [
         f"{name}:{n}",

@@ -37,6 +37,7 @@ from .classical import (
     c0,
     c1,
     certificate_complexity,
+    certificate_profile,
     decision_depth,
     sampled_symmetrized,
     symmetrized,
@@ -81,7 +82,6 @@ from .gf2 import (
     subspace_count,
 )
 from .parity import (
-    MeasureReport,
     MeasureValue,
     ParityCertificate,
     ParityDecisionTree,
@@ -90,6 +90,7 @@ from .parity import (
     c0_xor,
     c1_xor,
     c_xor,
+    cxor_profile,
     parity_bs,
     parity_certificate,
     parity_depth,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .boolfn import BooleanFunction, restrict
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Coset, Gf2Vector, _solve_bits, _span_order, parity
-from .parity import CERT_MAX_ARITY, ParityCertificate, dual_frames
+from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, _span_order, parity
+from .parity import CERT_MAX_ARITY, ParityCertificate, c1_xor, dual_frames, parity_certificate
 
 __all__ = [
     "ParityOracle",
@@ -163,8 +163,6 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     anchor satisfies, deduplicate, then drop members contained in the
     union of the rest (restarting the scan after each removal).
     """
-    from .parity import c1_xor
-
     n = f.arity
     if n > ESSENTIAL_MAX_ARITY:
         raise BudgetExceededError(f"essential_certificate_set limited to arity <= {ESSENTIAL_MAX_ARITY}")
@@ -176,9 +174,9 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     for xb in range(1 << n):
         if not (f.table >> xb) & 1:
             continue
-        rows, rhs = _anchored_min_certificate(f, xb)
-        rows, rhs = _pad_to_codim(rows, rhs, xb, n, d)
-        coset = _solve_bits(rows, rhs, n)
+        rows = _pad_to_codim(parity_certificate(f, Gf2Vector(n, xb))[1].coset.constraints.row_bits, n, d)
+        # the anchor lies on the padded coset, so it fixes each rhs
+        coset = _solve_bits(rows, [parity(w & xb) for w in rows], n)
         assert coset is not None and coset.codim == d
         if coset not in seen:
             seen.add(coset)
@@ -200,31 +198,17 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     return EssentialSet(d, tuple(certs))
 
 
-def _anchored_min_certificate(f: BooleanFunction, xb: int) -> tuple[list[int], list[int]]:
-    n = f.arity
-    table = f.table
-    for k in range(n + 1):
-        for wrows, vrows in dual_frames(n, k):
-            if all((table >> (xb ^ v)) & 1 for v in _span_order(list(vrows))):
-                return list(wrows), [parity(w & xb) for w in wrows]
-    raise AssertionError("unreachable: the anchor's point coset certifies")
-
-
-def _pad_to_codim(rows: list[int], rhs: list[int], xb: int, n: int, d: int) -> tuple[list[int], list[int]]:
-    """Append the smallest constraint rows independent of ``rows`` (the
-    anchor fixes each rhs) until reaching codimension d."""
-    from .gf2 import _rref_bits
-
+def _pad_to_codim(rows: tuple[int, ...], n: int, d: int) -> list[int]:
+    """Append the smallest constraint rows independent of ``rows`` until
+    reaching codimension d."""
     rows = list(rows)
-    rhs = list(rhs)
     while len(rows) < d:
         for cand in range(1, 1 << n):
             red, _ = _rref_bits(rows + [cand], n)
             if len(red) == len(rows) + 1:
                 rows.append(cand)
-                rhs.append(parity(cand & xb))
                 break
-    return rows, rhs
+    return rows
 
 
 def _coset_bitmap(cs: Coset) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .boolfn import BooleanFunction, _low_mask, _table_partner, _table_xor_translate, rotate
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, enumerate_gl
+from .gf2 import Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
 
 __all__ = [
     "DecisionLeaf",
@@ -24,6 +24,8 @@ __all__ = [
     "BlockFamily",
     "decision_depth",
     "certificate_complexity",
+    "certificate_profile",
+    "maximizing_input",
     "c0",
     "c1",
     "c",
@@ -240,32 +242,41 @@ def _certificate_profile(arity: int, table: int) -> bytes:
     return bytes(out)
 
 
-def _aggregate(profile: bytes, table: int, value: int) -> int | None:
-    best = None
+def certificate_profile(f: BooleanFunction) -> bytes:
+    """Certificate size at every input, indexed by packed input."""
+    if f.arity > CERT_MAX_ARITY:
+        raise BudgetExceededError(f"certificate aggregates limited to arity <= {CERT_MAX_ARITY}")
+    return _certificate_profile(f.arity, f.table)
+
+
+def maximizing_input(profile: bytes, table: int, value: int | None = None) -> int | None:
+    """The first input where ``profile`` is largest among the inputs at
+    which ``table`` takes ``value`` (all inputs when None); None if no
+    input qualifies."""
+    best, arg = -1, None
     for idx, sz in enumerate(profile):
-        if ((table >> idx) & 1) == value and (best is None or sz > best):
-            best = sz
-    return best
+        if sz > best and (value is None or ((table >> idx) & 1) == value):
+            best, arg = sz, idx
+    return arg
+
+
+def _aggregate(profile: bytes, table: int, value: int) -> int | None:
+    x = maximizing_input(profile, table, value)
+    return None if x is None else profile[x]
 
 
 def c0(f: BooleanFunction) -> int | None:
     """Max certificate size over 0-inputs; None when f has no 0-input."""
-    if f.arity > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"certificate aggregates limited to arity <= {CERT_MAX_ARITY}")
-    return _aggregate(_certificate_profile(f.arity, f.table), f.table, 0)
+    return _aggregate(certificate_profile(f), f.table, 0)
 
 
 def c1(f: BooleanFunction) -> int | None:
-    if f.arity > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"certificate aggregates limited to arity <= {CERT_MAX_ARITY}")
-    return _aggregate(_certificate_profile(f.arity, f.table), f.table, 1)
+    return _aggregate(certificate_profile(f), f.table, 1)
 
 
 def c(f: BooleanFunction) -> int:
     """Certificate complexity: max over all inputs (0 for constants)."""
-    if f.arity > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"certificate aggregates limited to arity <= {CERT_MAX_ARITY}")
-    return max(_certificate_profile(f.arity, f.table))
+    return max(certificate_profile(f))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +358,28 @@ def _blocks_within(mask: int, n: int) -> int:
     return out
 
 
-def block_sensitivity(f: BooleanFunction, x: Gf2Vector) -> tuple[int, BlockFamily]:
-    """Largest family of disjoint blocks each of which flips f at x."""
+def _bs_scan(n: int, table: int) -> tuple[int, int]:
+    """(bs, the first input reaching it), from the packing values alone."""
+    best, arg = -1, 0
+    for xb in range(1 << n):
+        v = _max_packing(n, _sens_bitmap(n, table, xb))
+        if v > best:
+            best, arg = v, xb
+            if best == n:
+                break
+    return best, arg
+
+
+def block_sensitivity(f: BooleanFunction, x: Gf2Vector | None) -> tuple[int, BlockFamily]:
+    """Largest family of disjoint blocks each of which flips f at x; with
+    x None, at the first input where that family is largest, so the value
+    is bs(f)."""
     n = f.arity
     if n > BS_MAX_ARITY:
         raise BudgetExceededError(f"block_sensitivity limited to arity <= {BS_MAX_ARITY}, got {n}")
-    if x.width != n:
+    if x is None:
+        x = Gf2Vector(n, _bs_scan(n, f.table)[1])
+    elif x.width != n:
         raise DimensionError("input width mismatch")
     sens = _sens_bitmap(n, f.table, x.bits)
     val = _max_packing(n, sens)
@@ -369,14 +396,7 @@ def bs(f: BooleanFunction) -> int:
     n = f.arity
     if n > BS_MAX_ARITY:
         raise BudgetExceededError(f"bs limited to arity <= {BS_MAX_ARITY}, got {n}")
-    best = 0
-    for xb in range(1 << n):
-        v = _max_packing(n, _sens_bitmap(n, f.table, xb))
-        if v > best:
-            best = v
-            if best == n:
-                break
-    return best
+    return _bs_scan(n, f.table)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +421,19 @@ def _gl_list(n: int) -> tuple[Gf2Matrix, ...]:
     return tuple(enumerate_gl(n))
 
 
+def _min_over(measure: str, f: BooleanFunction, mats) -> tuple[int, Gf2Matrix]:
+    """The least measure of x -> f(Bx) over B in ``mats``, with the first B reaching it."""
+    best = None
+    witness = None
+    for b in mats:
+        v = _measure_value(measure, rotate(f, b))
+        if best is None or v < best:
+            best, witness = v, b
+            if best == 0:
+                break
+    return best, witness
+
+
 def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
     """min over invertible B of measure(x -> f(Bx)), with a minimizing B.
 
@@ -413,26 +446,11 @@ def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
         raise BudgetExceededError(
             f"symmetrized limited to arity <= {SYMMETRIZED_MAX_ARITY}, got {n}; use sampled_symmetrized"
         )
-    best = None
-    witness = None
-    for b in _gl_list(n):
-        v = _measure_value(measure, rotate(f, b))
-        if best is None or v < best:
-            best, witness = v, b
-            if best == 0:
-                break
-    return best, witness
+    return _min_over(measure, f, _gl_list(n))
 
 
 def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: int) -> tuple[int, Gf2Matrix]:
-    """Seeded sampled variant; the returned value is only an upper bound."""
-    from .gf2 import sample_gl
-
+    """Seeded sampled variant over the identity and ``samples`` seeded
+    invertible matrices; the returned value is only an upper bound."""
     n = f.arity
-    best = None
-    witness = None
-    for b in [Gf2Matrix.identity(n)] + sample_gl(n, samples, seed):
-        v = _measure_value(measure, rotate(f, b))
-        if best is None or v < best:
-            best, witness = v, b
-    return best, witness
+    return _min_over(measure, f, [Gf2Matrix.identity(n)] + sample_gl(n, samples, seed))

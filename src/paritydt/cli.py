@@ -63,7 +63,6 @@ def _extended_budgets(limit: int | None):
         (classical, "BS_MAX_ARITY"), (classical, "SYMMETRIZED_MAX_ARITY"),
         (parity, "CERT_MAX_ARITY"), (parity, "DEPTH_MAX_ARITY"),
         (parity, "WBS_EXACT_MAX_DIM"), (parity, "PBS_EXACT_MAX_ARITY"),
-        (certify, "ESSENTIAL_MAX_ARITY"), (comm, "XOR_RANK_MAX_ARITY"),
     ]
     saved = [(mod, name, getattr(mod, name)) for mod, name in slots]
     try:
@@ -75,70 +74,43 @@ def _extended_budgets(limit: int | None):
             setattr(mod, name, old)
 
 
-def _classical_cert_witness(f: BooleanFunction, value: int | None, keep) -> MeasureValue:
-    if value is None:
-        return MeasureValue(None, True, None, "undefined for this function")
-    prof = classical._certificate_profile(f.arity, f.table)
-    xb = max(
-        (x for x in range(1 << f.arity) if keep(x)),
-        key=lambda x: (prof[x], -x),
-    )
-    _, cert = classical.certificate_complexity(f, Gf2Vector(f.arity, xb))
-    return MeasureValue(value, True, {"x": Gf2Vector(f.arity, xb).to_string(), "certificate": cert.to_jsonable()})
+_CERT_TARGETS = {"c": None, "c0": 0, "c1": 1}
 
 
-def _parity_cert_witness(f: BooleanFunction, value: int | None, keep) -> MeasureValue:
-    if value is None:
+def _certificate_measure(f: BooleanFunction, profile: bytes, target: int | None, certificate) -> MeasureValue:
+    """The largest profile entry over the inputs where f takes ``target``
+    (all inputs when None), with the certificate at the first input
+    reaching it; ``certificate(x)`` gives the witness fields."""
+    xb = classical.maximizing_input(profile, f.table, target)
+    if xb is None:
         return MeasureValue(None, True, None, "undefined for this function")
-    prof = parity._cxor_profile(f.arity, f.table)
-    xb = max(
-        (x for x in range(1 << f.arity) if keep(x)),
-        key=lambda x: (prof[x], -x),
-    )
-    _, cert = parity.parity_certificate(f, Gf2Vector(f.arity, xb))
-    return MeasureValue(
-        value, True,
-        {"x": Gf2Vector(f.arity, xb).to_string(),
-         "coset": cert.coset.to_jsonable(), "value": cert.value},
-    )
+    x = Gf2Vector(f.arity, xb)
+    return MeasureValue(profile[xb], True, {"x": x.to_string(), **certificate(x)})
 
 
 def _compute_measure(f: BooleanFunction, name: str) -> MeasureValue:
-    n = 1 << f.arity
     if name == "d":
         v, tree = classical.decision_depth(f)
         return MeasureValue(v, True, {"tree": classical.tree_jsonable(tree)})
-    if name == "c":
-        return _classical_cert_witness(f, classical.c(f), lambda x: True)
-    if name == "c0":
-        return _classical_cert_witness(f, classical.c0(f), lambda x: not f.value_at(x))
-    if name == "c1":
-        return _classical_cert_witness(f, classical.c1(f), lambda x: f.value_at(x))
+    if name in ("c", "c0", "c1"):
+        return _certificate_measure(
+            f, classical.certificate_profile(f), _CERT_TARGETS[name],
+            lambda x: {"certificate": classical.certificate_complexity(f, x)[1].to_jsonable()},
+        )
     if name == "bs":
-        best, wit = -1, None
-        for xb in range(n):
-            v, fam = classical.block_sensitivity(f, Gf2Vector(f.arity, xb))
-            if v > best:
-                best, wit = v, fam
-        return MeasureValue(best, True, wit.to_jsonable())
+        v, fam = classical.block_sensitivity(f, None)
+        return MeasureValue(v, True, fam.to_jsonable())
     if name == "dxor":
         v, tree = parity.parity_depth(f)
         return MeasureValue(v, True, {"tree": parity.pdt_jsonable(tree)})
-    if name == "cxor":
-        return _parity_cert_witness(f, parity.c_xor(f), lambda x: True)
-    if name == "c0xor":
-        return _parity_cert_witness(f, parity.c0_xor(f), lambda x: not f.value_at(x))
-    if name == "c1xor":
-        return _parity_cert_witness(f, parity.c1_xor(f), lambda x: f.value_at(x))
+    if name in ("cxor", "c0xor", "c1xor"):
+        return _certificate_measure(
+            f, parity.cxor_profile(f), _CERT_TARGETS[name[:-3]],
+            lambda x: parity.parity_certificate(f, x)[1].to_jsonable(),
+        )
     if name == "wbsxor":
-        value = parity.wbs_xor(f)
-        best, wit = -1, None
-        for xb in range(n):
-            v, basis = parity.weak_parity_bs(f, Gf2Vector(f.arity, xb))
-            if v > best:
-                best, wit = v, basis
-        assert best == value
-        return MeasureValue(value, True, {"basis": wit.to_jsonable()})
+        v, basis = parity.weak_parity_bs(f, None)
+        return MeasureValue(v, True, {"basis": basis.to_jsonable()})
     if name == "bsxor":
         v, h = parity.parity_bs(f)
         return MeasureValue(v, True, {"coset": h.to_jsonable()})
@@ -154,12 +126,8 @@ def _compute_measure_sampled(f: BooleanFunction, name: str, samples: int, seed: 
         return MeasureValue(v, False, {"coset": h.to_jsonable()},
                             "lower bound from sampled cosets")
     if name == "wbsxor":
-        best, wit = -1, None
-        for xb in range(1 << f.arity):
-            v, basis = parity.sampled_weak_parity_bs(f, Gf2Vector(f.arity, xb), samples, seed)
-            if v > best:
-                best, wit = v, basis
-        return MeasureValue(best, False, {"basis": wit.to_jsonable()},
+        v, basis = parity.sampled_weak_parity_bs(f, None, samples, seed)
+        return MeasureValue(v, False, {"basis": basis.to_jsonable()},
                             "upper bound from sampled bases")
     if name in ("di", "ci", "bsi"):
         v, b = classical.sampled_symmetrized(name[:-1], f, samples, seed)
@@ -385,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run theorem checks over a family")
     v.add_argument("--family", required=True, help="exhaustive:n, random:n:count:seed or zoo:all:n")
     v.add_argument("--theorems", required=True, help=f"comma list of {','.join(THEOREM_IDS)}")
-    v.add_argument("--threads", type=int, default=None)
+    v.add_argument("--threads", type=_positive_int, default=None)
 
     c = sub.add_parser("construct", help="build a named construction")
     c.add_argument("what", choices=["thm-exp"])

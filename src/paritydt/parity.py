@@ -10,8 +10,8 @@ enumeration order within, so witnesses are reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +22,6 @@ from .boolfn import (
     _table_xor_translate,
     as_restricted,
     local_point,
-    restrict,
 )
 from .classical import _aggregate
 from .errors import BudgetExceededError, DimensionError, DomainError
@@ -45,8 +44,8 @@ __all__ = [
     "ParityQuery",
     "ParityDecisionTree",
     "MeasureValue",
-    "MeasureReport",
     "parity_certificate",
+    "cxor_profile",
     "c0_xor",
     "c1_xor",
     "c_xor",
@@ -160,20 +159,6 @@ class MeasureValue:
         return out
 
 
-@dataclass
-class MeasureReport:
-    """Measures of one function, keyed by measure name."""
-
-    function: str
-    measures: dict[str, MeasureValue] = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "function": self.function,
-            "measures": {k: v.to_jsonable() for k, v in sorted(self.measures.items())},
-        }
-
-
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------
@@ -228,7 +213,7 @@ def _cxor_profile(m: int, table: int) -> bytes:
     the inputs whose V-coset is constant; the first k that covers an
     input is its certificate size.
     """
-    cached = _profile_cache.get((m, table)) if m <= 4 else None
+    cached = _profile_cache.get((m, table))
     if cached is not None:
         return cached
     size = 1 << m
@@ -236,9 +221,7 @@ def _cxor_profile(m: int, table: int) -> bytes:
     out = bytearray(size)
     remaining = full
     if table == 0 or table == full:
-        res = bytes(size)
-        if m <= 4:
-            _profile_cache[(m, table)] = res
+        _profile_cache[(m, table)] = res = bytes(size)
         return res
     for k in range(m + 1):
         for _wrows, vrows in dual_frames(m, k):
@@ -257,9 +240,7 @@ def _cxor_profile(m: int, table: int) -> bytes:
                 break
         if not remaining:
             break
-    res = bytes(out)
-    if m <= 4:
-        _profile_cache[(m, table)] = res
+    _profile_cache[(m, table)] = res = bytes(out)
     return res
 
 
@@ -290,30 +271,29 @@ def parity_certificate(
     raise AssertionError("unreachable: the point coset always certifies")
 
 
-def _check_cert_budget(rf: RestrictedFunction):
+def cxor_profile(f: BooleanFunction | RestrictedFunction) -> bytes:
+    """Parity certificate size at every input, indexed by packed local
+    point (the ambient input for a BooleanFunction)."""
+    rf = _localize(f)
     if rf.ambient.ncols > CERT_MAX_ARITY:
         raise BudgetExceededError(f"parity certificate aggregates limited to ambient arity <= {CERT_MAX_ARITY}")
+    return _cxor_profile(rf.local.arity, rf.local.table)
 
 
 def c0_xor(f: BooleanFunction | RestrictedFunction) -> int | None:
     """Max parity certificate size over 0-inputs; None if f has none."""
     rf = _localize(f)
-    _check_cert_budget(rf)
-    return _aggregate(_cxor_profile(rf.local.arity, rf.local.table), rf.local.table, 0)
+    return _aggregate(cxor_profile(rf), rf.local.table, 0)
 
 
 def c1_xor(f: BooleanFunction | RestrictedFunction) -> int | None:
     rf = _localize(f)
-    _check_cert_budget(rf)
-    return _aggregate(_cxor_profile(rf.local.arity, rf.local.table), rf.local.table, 1)
+    return _aggregate(cxor_profile(rf), rf.local.table, 1)
 
 
 def c_xor(f: BooleanFunction | RestrictedFunction) -> int:
     """Parity certificate complexity (0 for constants)."""
-    rf = _localize(f)
-    _check_cert_budget(rf)
-    prof = _cxor_profile(rf.local.arity, rf.local.table)
-    return max(prof) if prof else 0
+    return max(cxor_profile(f))
 
 
 # ---------------------------------------------------------------------------
@@ -581,32 +561,57 @@ def _basis_matrix(m: int, basis: tuple[int, ...]) -> Gf2Matrix:
     return Gf2Matrix.from_bits(rows, m)
 
 
-def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector) -> tuple[int, Gf2Matrix]:
-    """min over bases B of the block sensitivity of f(B y) at B^-1 x.
+def _weak_scan(m: int, table: int, weights: np.ndarray, points: slice = slice(None)) -> tuple[int, int]:
+    """The max over the chosen points of the least block sensitivity
+    through the bases whose span weights are the columns of ``weights``,
+    with the first minimizing column at the first maximizing point."""
+    vals = _block_packings(m, table, weights, points)
+    mins = vals.min(axis=1)
+    i = int(mins.argmax())
+    return int(mins[i]), int(vals[i].argmin())
+
+
+def _points(rf: RestrictedFunction, x: Gf2Vector | None) -> slice:
+    if x is None:
+        return slice(None)
+    y = local_point(rf, x)
+    return slice(y, y + 1)
+
+
+def _exact_wbs_dim(rf: RestrictedFunction, x: Gf2Vector | None) -> int:
+    m = rf.local.arity
+    if m > WBS_EXACT_MAX_DIM:
+        if x is None:
+            raise BudgetExceededError(f"wbs_xor limited to dimension <= {WBS_EXACT_MAX_DIM}, got {m}")
+        raise BudgetExceededError(
+            f"weak_parity_bs exact search limited to dimension <= {WBS_EXACT_MAX_DIM}, got {m}; "
+            "use sampled_weak_parity_bs"
+        )
+    return m
+
+
+def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector | None) -> tuple[int, Gf2Matrix]:
+    """min over bases B of the block sensitivity of f(B y) at B^-1 x; with
+    x None, the max of that over all inputs (wbs_xor) and the minimizing
+    basis at the first input reaching it.
 
     Exhausts all unordered bases; exact for effective dimension <= 4.
     The witness is the first minimizing basis in _sorted_bases order.
     """
     rf = _localize(f)
-    m = rf.local.arity
-    if m > WBS_EXACT_MAX_DIM:
-        raise BudgetExceededError(
-            f"weak_parity_bs exact search limited to dimension <= {WBS_EXACT_MAX_DIM}, got {m}; "
-            "use sampled_weak_parity_bs"
-        )
-    y = local_point(rf, x)
-    vals = _block_packings(m, rf.local.table, _basis_weights(m), slice(y, y + 1))[0]
-    i = int(vals.argmin())
-    return int(vals[i]), _basis_matrix(m, _sorted_bases(m)[i])
+    m = _exact_wbs_dim(rf, x)
+    v, j = _weak_scan(m, rf.local.table, _basis_weights(m), _points(rf, x))
+    return v, _basis_matrix(m, _sorted_bases(m)[j])
 
 
 def sampled_weak_parity_bs(
-    f: BooleanFunction | RestrictedFunction, x: Gf2Vector, samples: int, seed: int
+    f: BooleanFunction | RestrictedFunction, x: Gf2Vector | None, samples: int, seed: int
 ) -> tuple[int, Gf2Matrix]:
-    """Seeded sampled variant (upper bound only); dimension <= 5.
+    """Seeded sampled variant of weak_parity_bs (upper bound only);
+    dimension <= 5.
 
-    Tries the identity and ``samples`` seeded invertible matrices; the
-    witness is the first minimizing one.
+    Tries the identity and ``samples`` seeded invertible matrices, drawn
+    once for all points; the witness is the first minimizing one.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -614,16 +619,12 @@ def sampled_weak_parity_bs(
     m = rf.local.arity
     if m > WBS_SAMPLED_MAX_DIM:
         raise BudgetExceededError(f"sampled_weak_parity_bs limited to dimension <= {WBS_SAMPLED_MAX_DIM}, got {m}")
-    table = rf.local.table
-    full = (1 << (1 << m)) - 1
-    if table == 0 or table == full:
+    if rf.local.is_constant():
         return 0, Gf2Matrix.identity(m)
     mats = [Gf2Matrix.identity(m)] + sample_gl(m, samples, seed)
     weights = _span_weights(m, [_span_order(list(b.transpose().row_bits)) for b in mats])
-    y = local_point(rf, x)
-    vals = _block_packings(m, table, weights, slice(y, y + 1))[0]
-    i = int(vals.argmin())
-    return int(vals[i]), mats[i]
+    v, j = _weak_scan(m, rf.local.table, weights, _points(rf, x))
+    return v, mats[j]
 
 
 _wbs_agg_cache: dict[tuple[int, int], int] = {}
@@ -631,25 +632,18 @@ _wbs_agg_cache: dict[tuple[int, int], int] = {}
 
 def _wbs_aggregate(m: int, table: int) -> int:
     got = _wbs_agg_cache.get((m, table))
-    if got is not None:
-        return got
-    full = (1 << (1 << m)) - 1
-    if table == 0 or table == full:
-        out = 0
-    else:
-        out = int(_block_packings(m, table, _basis_weights(m)).min(axis=1).max())
-    if m <= 4:
-        _wbs_agg_cache[(m, table)] = out
-    return out
+    if got is None:
+        # a constant needs no bases, so it passes at any dimension
+        constant = table == 0 or table == (1 << (1 << m)) - 1
+        got = 0 if constant else _weak_scan(m, table, _basis_weights(m))[0]
+        _wbs_agg_cache[(m, table)] = got
+    return got
 
 
 def wbs_xor(f: BooleanFunction | RestrictedFunction) -> int:
     """Weak parity block sensitivity: max over inputs of weak_parity_bs."""
     rf = _localize(f)
-    m = rf.local.arity
-    if m > WBS_EXACT_MAX_DIM:
-        raise BudgetExceededError(f"wbs_xor limited to dimension <= {WBS_EXACT_MAX_DIM}, got {m}")
-    return _wbs_aggregate(m, rf.local.table)
+    return _wbs_aggregate(_exact_wbs_dim(rf, None), rf.local.table)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +661,23 @@ def _coset_scan(n: int) -> tuple[tuple[Coset, int, tuple[int, ...]], ...]:
             wrows = _kernel_bits(list(sub.basis.row_bits), n)
             for rhs in range(1 << len(wrows)):
                 coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
-                off = coset.min_member_bits()
-                out.append((coset, dim, tuple(off ^ p for p in _span_order(coset.direction_rows()))))
+                out.append((coset, dim, tuple(coset.member_bits())))
     return tuple(out)
+
+
+def _max_over_cosets(f: BooleanFunction, cosets: Iterable[tuple[Coset, int, Sequence[int]]]) -> tuple[int, Coset]:
+    """The largest wbs_xor of f's restrictions to ``cosets`` (each with its
+    dimension and its members in frame order), with the first coset
+    reaching it."""
+    best = -1
+    witness = None
+    for coset, dim, pts in cosets:
+        v = _wbs_aggregate(dim, _gather(f.table, pts))
+        if v > best:
+            best, witness = v, coset
+            if best == f.arity:
+                break
+    return best, witness
 
 
 def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
@@ -683,19 +691,7 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
         raise BudgetExceededError(
             f"parity_bs exact search limited to arity <= {PBS_EXACT_MAX_ARITY}, got {n}; use sampled_parity_bs"
         )
-    t = f.table
-    best = -1
-    witness = None
-    for coset, dim, pts in _coset_scan(n):
-        local = 0
-        for y, p in enumerate(pts):
-            local |= ((t >> p) & 1) << y
-        v = _wbs_aggregate(dim, local)
-        if v > best:
-            best, witness = v, coset
-            if best == n:
-                break
-    return best, witness
+    return _max_over_cosets(f, _coset_scan(n))
 
 
 def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int, Coset]:
@@ -709,8 +705,6 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
     if n > PBS_SAMPLED_MAX_ARITY:
         raise BudgetExceededError(f"sampled_parity_bs limited to arity <= {PBS_SAMPLED_MAX_ARITY}, got {n}")
     rnd = random.Random(seed)
-    best = -1
-    witness = None
     full = Coset.full_space(n)
     candidates = [full] if n <= WBS_EXACT_MAX_DIM else []
     while len(candidates) < samples:
@@ -730,9 +724,4 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
         coset = _solve_bits(rows, rhs, n)
         if coset is not None:
             candidates.append(coset)
-    for coset in candidates:
-        rf = restrict(f, coset)
-        v = _wbs_aggregate(rf.local.arity, rf.local.table)
-        if v > best:
-            best, witness = v, coset
-    return best, witness
+    return _max_over_cosets(f, ((h, h.dim, h.member_bits()) for h in candidates))

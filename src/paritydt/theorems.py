@@ -9,6 +9,7 @@ across worker processes.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections.abc import Callable
@@ -173,10 +174,10 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
     """At every input, the coset certificate size equals the least
     classical certificate size over all changes of basis."""
     n, size = f.arity, 1 << f.arity
-    target = parity._cxor_profile(n, f.table)
+    target = parity.cxor_profile(f)
     best = bytearray([255]) * size
     for b, img in _gl_images(n):
-        prof = classical._certificate_profile(n, rotate(f, b).table)
+        prof = classical.certificate_profile(rotate(f, b))
         for y in range(size):
             x = img[y]
             if prof[y] < best[x]:
@@ -406,9 +407,12 @@ def run_verification_suite(
     for th in theorems:
         if th not in THEOREMS:
             raise ParitydtError(f"unknown theorem {th!r}; known: {', '.join(THEOREM_IDS)}")
+    if threads is not None and threads < 1:
+        raise ParitydtError(f"threads must be >= 1, got {threads}")
     _check_budgets(fam, theorems)
     tables = _family_tables(fam)
-    workers = threads if threads and threads > 0 else 1
+    # workers beyond the CPU count would only contend for the same CPUs
+    workers = min(threads or 1, os.cpu_count() or 1)
     results = []
     for th in theorems:
         t0 = time.perf_counter()

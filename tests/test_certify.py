@@ -11,8 +11,8 @@ from paritydt.certify import (
     verify_essential_set,
 )
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
-from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, solve
-from paritydt.parity import c0_xor, c1_xor, parity_certificate
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, parity, solve
+from paritydt.parity import c0_xor, c1_xor, dual_frames, parity_certificate
 
 
 def run_and_check(f, xb):
@@ -114,6 +114,29 @@ def test_oracle_counts_and_checks_width():
 # ---------------------------------------------------------------------------
 # essential certificate sets
 # ---------------------------------------------------------------------------
+
+def reference_anchored_certificate(f, xb):
+    """The essential set's old own search for a smallest 1-certificate at
+    xb: (dual basis rows, rhs bits) of the first constant coset."""
+    n = f.arity
+    for k in range(n + 1):
+        for wrows, vrows in dual_frames(n, k):
+            if all((f.table >> (xb ^ v)) & 1 for v in _span_order(list(vrows))):
+                return list(wrows), [parity(w & xb) for w in wrows]
+    raise AssertionError("the point coset certifies")
+
+
+def test_essential_set_anchors_match_reference():
+    rnd = random.Random(31)
+    fns = [BooleanFunction(n, t) for n in (1, 2, 3) for t in range(1, 1 << (1 << n))]
+    fns += [BooleanFunction(4, rnd.getrandbits(16) | 1) for _ in range(30)]
+    for f in fns:
+        for xb in range(1 << f.arity):
+            if f.value_at(xb):
+                coset = parity_certificate(f, Gf2Vector(f.arity, xb))[1].coset
+                rhs = [(coset.rhs.bits >> i) & 1 for i in range(coset.codim)]
+                assert (list(coset.constraints.row_bits), rhs) == reference_anchored_certificate(f, xb)
+
 
 def test_essential_sets_exhaustive_small():
     for n in (1, 2, 3):

@@ -13,7 +13,9 @@ from paritydt.classical import (
     c0,
     c1,
     certificate_complexity,
+    certificate_profile,
     decision_depth,
+    maximizing_input,
     sampled_symmetrized,
     symmetrized,
     tree_depth,
@@ -191,6 +193,20 @@ def test_certificate_budget():
         certificate_complexity(BooleanFunction(13, 0), Gf2Vector(13, 0))
     with pytest.raises(BudgetExceededError):
         c(BooleanFunction(13, 0))
+    with pytest.raises(BudgetExceededError):
+        certificate_profile(BooleanFunction(13, 0))
+
+
+def test_certificate_profile_and_maximizing_input():
+    f = parse_function_spec("zoo:example31:3")
+    prof = certificate_profile(f)
+    assert list(prof) == [certificate_complexity(f, Gf2Vector(3, x))[0] for x in range(8)]
+    # inputs 1 and 2 are the 1-inputs; ties go to the smallest input
+    prof, table = bytes([1, 3, 2, 3]), 0b0110
+    assert maximizing_input(prof, table) == 1
+    assert maximizing_input(prof, table, 0) == 3
+    assert maximizing_input(prof, table, 1) == 1
+    assert maximizing_input(prof, 0, 1) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from paritydt import cli, theorems
+from paritydt import classical, cli, gf2, parity, theorems
+from paritydt.boolfn import BooleanFunction
 from paritydt.cli import run
+from paritydt.errors import ParitydtError
+from paritydt.gf2 import Gf2Vector
+from paritydt.parity import MeasureValue
 
 
 def run_json(capsys, argv):
@@ -108,6 +113,107 @@ def test_measure_errors(capsys):
 
 
 # ---------------------------------------------------------------------------
+# measure witnesses against the per-input reference loops
+# ---------------------------------------------------------------------------
+
+_CERT_MEASURES = {
+    "c": (classical.c, None), "c0": (classical.c0, 0), "c1": (classical.c1, 1),
+    "cxor": (parity.c_xor, None), "c0xor": (parity.c0_xor, 0), "c1xor": (parity.c1_xor, 1),
+}
+
+
+def reference_measure(f, name):
+    """The measure command's old witness search: the value from the
+    aggregate, then a second scan of every input for the witness."""
+    n = f.arity
+    if name in _CERT_MEASURES:
+        aggregate, target = _CERT_MEASURES[name]
+        value = aggregate(f)
+        if value is None:
+            return MeasureValue(None, True, None, "undefined for this function")
+        xor = name.endswith("xor")
+        prof = parity._cxor_profile(n, f.table) if xor else classical._certificate_profile(n, f.table)
+        xb = max(
+            (x for x in range(1 << n) if target is None or f.value_at(x) == target),
+            key=lambda x: (prof[x], -x),
+        )
+        x = Gf2Vector(n, xb)
+        if xor:
+            _, cert = parity.parity_certificate(f, x)
+            wit = {"x": x.to_string(), "coset": cert.coset.to_jsonable(), "value": cert.value}
+            return MeasureValue(value, True, wit)
+        _, cert = classical.certificate_complexity(f, x)
+        return MeasureValue(value, True, {"x": x.to_string(), "certificate": cert.to_jsonable()})
+    if name == "bs":
+        best, wit = -1, None
+        for xb in range(1 << n):
+            v, fam = classical.block_sensitivity(f, Gf2Vector(n, xb))
+            if v > best:
+                best, wit = v, fam
+        return MeasureValue(best, True, wit.to_jsonable())
+    assert name == "wbsxor"
+    value = parity.wbs_xor(f)
+    best, wit = -1, None
+    for xb in range(1 << n):
+        v, basis = parity.weak_parity_bs(f, Gf2Vector(n, xb))
+        if v > best:
+            best, wit = v, basis
+    assert best == value
+    return MeasureValue(value, True, {"basis": wit.to_jsonable()})
+
+
+def reference_sampled_wbsxor(f, samples, seed):
+    best, wit = -1, None
+    for xb in range(1 << f.arity):
+        v, basis = parity.sampled_weak_parity_bs(f, Gf2Vector(f.arity, xb), samples, seed)
+        if v > best:
+            best, wit = v, basis
+    return MeasureValue(best, False, {"basis": wit.to_jsonable()}, "upper bound from sampled bases")
+
+
+def _assert_measures_match_reference(f):
+    for name in ("c", "c0", "c1", "bs", "cxor", "c0xor", "c1xor", "wbsxor"):
+        got = cli._compute_measure(f, name).to_jsonable()
+        assert got == reference_measure(f, name).to_jsonable(), (f.spec, name)
+
+
+def test_measure_witnesses_match_reference_all_n3():
+    for n in (1, 2, 3):
+        for t in range(1 << (1 << n)):
+            _assert_measures_match_reference(BooleanFunction(n, t))
+
+
+def test_measure_witnesses_match_reference_n4_seeded():
+    rnd = random.Random(404)
+    for t in [0, 0xFFFF, 0x8000, 0x6996, 0xE8E8] + [rnd.getrandbits(16) for _ in range(40)]:
+        _assert_measures_match_reference(BooleanFunction(4, t))
+
+
+def test_sampled_wbsxor_matches_reference_n5():
+    rnd = random.Random(505)
+    tables = [0, 1 << 31, 0xFFFFFFFE, 0x96696996] + [rnd.getrandbits(32) for _ in range(4)]
+    for t in tables:
+        f = BooleanFunction(5, t)
+        for samples, seed in ((1, 0), (7, 3)):
+            got = cli._compute_measure_sampled(f, "wbsxor", samples, seed).to_jsonable()
+            assert got == reference_sampled_wbsxor(f, samples, seed).to_jsonable(), (f.spec, samples, seed)
+
+
+def test_sampled_wbsxor_draws_bases_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_sample_gl(n, count, seed):
+        calls.append((n, count, seed))
+        return gf2.sample_gl(n, count, seed)
+
+    monkeypatch.setattr(parity, "sample_gl", counting_sample_gl)
+    argv = ["measure", "--fn", "zoo:and:5", "--measures", "wbsxor", "--sample", "7", "--seed", "3"]
+    code, got = run_json(capsys, argv)
+    assert code == 0 and got["results"]["wbsxor"]["exact"] is False
+    assert calls == [(5, 7, 3)]
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -179,6 +285,44 @@ def test_verify_usage_errors(capsys):
     capsys.readouterr()
     assert run(["verify", "--family", "every:2", "--theorems", "thm1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_verify_rejects_non_positive_threads(capsys, threads):
+    argv = ["verify", "--family", "exhaustive:1", "--theorems", "eq1", "--threads", threads]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads: must be >= 1" in captured.err
+    with pytest.raises(ParitydtError):
+        theorems.run_verification_suite("exhaustive:1", ["eq1"], int(threads))
+
+
+def test_verify_threads_clamped_to_cpu_count(monkeypatch):
+    # a stand-in executor that runs the chunks in this process, so no
+    # worker process starts whatever count is asked for
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    serial = theorems.run_verification_suite("exhaustive:3", ["eq1", "thm2"])
+    wide = theorems.run_verification_suite("exhaustive:3", ["eq1", "thm2"], threads=64)
+    assert started == [3, 3]
+    expected = [(r.theorem, r.instances, r.violations) for r in serial]
+    assert [(r.theorem, r.instances, r.violations) for r in wide] == expected
 
 
 def test_verify_reports_violations(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from paritydt.parity import (
     c0_xor,
     c1_xor,
     c_xor,
+    cxor_profile,
     parity_bs,
     parity_certificate,
     parity_depth,
@@ -280,6 +281,17 @@ def test_certificate_budget():
         parity_certificate(f, Gf2Vector(11, 0))
     with pytest.raises(BudgetExceededError):
         c_xor(f)
+    with pytest.raises(BudgetExceededError):
+        cxor_profile(f)
+
+
+def test_cxor_profile_matches_point_search():
+    f = parse_function_spec("zoo:example31:3")
+    assert list(cxor_profile(f)) == [parity_certificate(f, Gf2Vector(3, x))[0] for x in range(8)]
+    # on a restriction the profile is indexed by local point
+    rf = restrict(f, Coset.full_space(3).with_constraint(Gf2Vector(3, 0b001), 0))
+    members = rf.ambient.member_bits()
+    assert list(cxor_profile(rf)) == [parity_certificate(rf, Gf2Vector(3, x))[0] for x in members]
 
 
 # ---------------------------------------------------------------------------
