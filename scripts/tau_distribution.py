@@ -11,7 +11,7 @@ import argparse
 import collections
 import statistics
 
-from paritydt import classical
+from paritydt import budget, classical
 from paritydt.construct import sample_thm_exp, tau
 
 
@@ -26,7 +26,7 @@ def main() -> None:
     seed_max: list[int] = []
     depths: list[tuple[int, int]] = []
     n = 1 << args.k
-    with_depth = n <= classical.DEPTH_MAX_ARITY
+    with_depth = n <= budget.current.get().decision_depth
 
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         inst = sample_thm_exp(args.k, seed)

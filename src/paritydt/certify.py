@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import budget
 from .boolfn import BooleanFunction, restrict
-from .errors import BudgetExceededError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, _span_order, parity
-from .parity import CERT_MAX_ARITY, ParityCertificate, c1_xor, dual_frames, parity_certificate
+from .parity import ParityCertificate, c1_xor, dual_frames, parity_certificate
 
 __all__ = [
     "ParityOracle",
@@ -100,8 +101,7 @@ def evaluate_via_certificates(
     Returns (value, total parity queries, per-round trace).
     """
     n = f.arity
-    if n > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"evaluate_via_certificates limited to arity <= {CERT_MAX_ARITY}")
+    budget.require("parity_certificate", n, "evaluate_via_certificates limited to arity")
     if oracle.width != n:
         raise DimensionError("oracle width != arity")
     domain = Coset.full_space(n)
@@ -136,9 +136,6 @@ def evaluate_via_certificates(
 # essential sets of 1-certificates
 # ---------------------------------------------------------------------------
 
-ESSENTIAL_MAX_ARITY = 8
-
-
 @dataclass(frozen=True)
 class EssentialSet:
     """1-certificates, all of codimension exactly codim, covering every
@@ -164,8 +161,7 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     union of the rest (restarting the scan after each removal).
     """
     n = f.arity
-    if n > ESSENTIAL_MAX_ARITY:
-        raise BudgetExceededError(f"essential_certificate_set limited to arity <= {ESSENTIAL_MAX_ARITY}")
+    budget.require("essential_set", n, "essential_certificate_set limited to arity")
     if f.table == 0:
         raise DomainError("essential set needs at least one 1-input")
     d = c1_xor(f)
@@ -182,19 +178,9 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
             seen.add(coset)
             certs.append(coset)
     bitmaps = [_coset_bitmap(cs) for cs in certs]
-    removed = True
-    while removed:
-        removed = False
-        for i in range(len(certs)):
-            others = 0
-            for j, bm in enumerate(bitmaps):
-                if j != i:
-                    others |= bm
-            if bitmaps[i] & ~others == 0:
-                del certs[i]
-                del bitmaps[i]
-                removed = True
-                break
+    while (i := _first_redundant(bitmaps)) is not None:
+        del certs[i]
+        del bitmaps[i]
     return EssentialSet(d, tuple(certs))
 
 
@@ -218,13 +204,21 @@ def _coset_bitmap(cs: Coset) -> int:
     return out
 
 
+def _first_redundant(bitmaps: list[int]) -> int | None:
+    """Index of the first bitmap covered by the union of the others, or None."""
+    for i, bm in enumerate(bitmaps):
+        others = 0
+        for j, other in enumerate(bitmaps):
+            if j != i:
+                others |= other
+        if bm & ~others == 0:
+            return i
+    return None
+
+
 def verify_essential_set(f: BooleanFunction, ess: EssentialSet) -> None:
     """Raise DomainError if ess is not a valid essential set for f."""
-    n = f.arity
-    ones = 0
-    for xb in range(1 << n):
-        if (f.table >> xb) & 1:
-            ones |= 1 << xb
+    ones = f.table
     if ones == 0:
         raise DomainError("function has no 1-input")
     bitmaps = []
@@ -240,10 +234,5 @@ def verify_essential_set(f: BooleanFunction, ess: EssentialSet) -> None:
         union |= bm
     if union & ones != ones:
         raise DomainError("uncovered 1-input")
-    for i, bm in enumerate(bitmaps):
-        others = 0
-        for j, other in enumerate(bitmaps):
-            if j != i:
-                others |= other
-        if bm & ~others == 0:
-            raise DomainError("redundant certificate")
+    if _first_redundant(bitmaps) is not None:
+        raise DomainError("redundant certificate")

@@ -12,8 +12,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import budget
 from .boolfn import BooleanFunction, _low_mask, _table_partner, _table_xor_translate, rotate
-from .errors import BudgetExceededError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .gf2 import Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
     "symmetrized",
     "sampled_symmetrized",
 ]
-
-DEPTH_MAX_ARITY = 10
-CERT_MAX_ARITY = 12
-BS_MAX_ARITY = 8
-SYMMETRIZED_MAX_ARITY = 4
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,7 @@ def decision_depth(f: BooleanFunction) -> tuple[int, DecisionTree]:
     to what); ties between variables break toward the smallest index.
     """
     n = f.arity
-    if n > DEPTH_MAX_ARITY:
-        raise BudgetExceededError(f"decision_depth limited to arity <= {DEPTH_MAX_ARITY}, got {n}")
+    budget.require("decision_depth", n, "decision_depth limited to arity")
     t = f.table
     full = (1 << n) - 1
     memo: dict[tuple[int, int], tuple[int, int]] = {}  # (mask, vals) -> (depth, var or -1)
@@ -177,8 +172,7 @@ def certificate_complexity(f: BooleanFunction, x: Gf2Vector) -> tuple[int, Class
     the witness.
     """
     n = f.arity
-    if n > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"certificate_complexity limited to arity <= {CERT_MAX_ARITY}, got {n}")
+    budget.require("certificate", n, "certificate_complexity limited to arity")
     if x.width != n:
         raise DimensionError("input width mismatch")
     t = f.table
@@ -244,8 +238,7 @@ def _certificate_profile(arity: int, table: int) -> bytes:
 
 def certificate_profile(f: BooleanFunction) -> bytes:
     """Certificate size at every input, indexed by packed input."""
-    if f.arity > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"certificate aggregates limited to arity <= {CERT_MAX_ARITY}")
+    budget.require("certificate", f.arity, "certificate aggregates limited to arity")
     return _certificate_profile(f.arity, f.table)
 
 
@@ -375,8 +368,7 @@ def block_sensitivity(f: BooleanFunction, x: Gf2Vector | None) -> tuple[int, Blo
     x None, at the first input where that family is largest, so the value
     is bs(f)."""
     n = f.arity
-    if n > BS_MAX_ARITY:
-        raise BudgetExceededError(f"block_sensitivity limited to arity <= {BS_MAX_ARITY}, got {n}")
+    budget.require("block_sensitivity", n, "block_sensitivity limited to arity")
     if x is None:
         x = Gf2Vector(n, _bs_scan(n, f.table)[1])
     elif x.width != n:
@@ -394,8 +386,7 @@ def block_sensitivity(f: BooleanFunction, x: Gf2Vector | None) -> tuple[int, Blo
 def bs(f: BooleanFunction) -> int:
     """Block sensitivity: max over inputs."""
     n = f.arity
-    if n > BS_MAX_ARITY:
-        raise BudgetExceededError(f"bs limited to arity <= {BS_MAX_ARITY}, got {n}")
+    budget.require("block_sensitivity", n, "bs limited to arity")
     return _bs_scan(n, f.table)[0]
 
 
@@ -442,15 +433,14 @@ def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
     n = f.arity
     if measure not in _MEASURES:
         raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
-    if n > SYMMETRIZED_MAX_ARITY:
-        raise BudgetExceededError(
-            f"symmetrized limited to arity <= {SYMMETRIZED_MAX_ARITY}, got {n}; use sampled_symmetrized"
-        )
+    budget.require("symmetrized", n, "symmetrized limited to arity", "; use sampled_symmetrized")
     return _min_over(measure, f, _gl_list(n))
 
 
 def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: int) -> tuple[int, Gf2Matrix]:
     """Seeded sampled variant over the identity and ``samples`` seeded
     invertible matrices; the returned value is only an upper bound."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
     return _min_over(measure, f, [Gf2Matrix.identity(n)] + sample_gl(n, samples, seed))

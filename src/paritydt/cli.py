@@ -14,9 +14,8 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 
-from . import __version__, certify, classical, comm, construct, parity
+from . import __version__, budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, fourier, parse_function_spec
 from .errors import BudgetExceededError, ParitydtError
 from .gf2 import Gf2Vector, parity as bit_parity
@@ -47,32 +46,6 @@ _SAMPLED_CAPABLE = frozenset({"wbsxor", "bsxor", "di", "ci", "bsi"})
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
-
-@contextmanager
-def _extended_budgets(limit: int | None):
-    """Raise the exact-computation arity guards to ``limit`` for one call.
-
-    Only the wall-time guards move; structural caps (width, group
-    enumeration) stay where they are.
-    """
-    if limit is None:
-        yield
-        return
-    slots = [
-        (classical, "DEPTH_MAX_ARITY"), (classical, "CERT_MAX_ARITY"),
-        (classical, "BS_MAX_ARITY"), (classical, "SYMMETRIZED_MAX_ARITY"),
-        (parity, "CERT_MAX_ARITY"), (parity, "DEPTH_MAX_ARITY"),
-        (parity, "WBS_EXACT_MAX_DIM"), (parity, "PBS_EXACT_MAX_ARITY"),
-    ]
-    saved = [(mod, name, getattr(mod, name)) for mod, name in slots]
-    try:
-        for mod, name, old in saved:
-            setattr(mod, name, max(old, limit))
-        yield
-    finally:
-        for mod, name, old in saved:
-            setattr(mod, name, old)
-
 
 _CERT_TARGETS = {"c": None, "c0": 0, "c1": 1}
 
@@ -143,7 +116,7 @@ def _measure_command(ns: argparse.Namespace) -> tuple[int, dict | str]:
         if m not in MEASURE_NAMES:
             raise ParitydtError(f"unknown measure {m!r}; known: {', '.join(MEASURE_NAMES)}")
     out: dict[str, MeasureValue] = {}
-    with _extended_budgets(ns.max_exact_n):
+    with budget.extended(ns.max_exact_n):
         for m in names:
             try:
                 out[m] = _compute_measure(f, m)

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import budget
 from .boolfn import BooleanFunction, fourier
 from .certify import EssentialSet, essential_certificate_set
-from .errors import BudgetExceededError, DimensionError
+from .errors import DimensionError
 from .gf2 import Gf2Vector, parity
 from .parity import (
     ParityDecisionTree,
@@ -30,7 +31,6 @@ from .parity import (
 )
 
 __all__ = [
-    "XOR_RANK_MAX_ARITY",
     "XorFunction",
     "ProtocolMessage",
     "ProtocolTranscript",
@@ -41,8 +41,6 @@ __all__ = [
     "ConjectureReport",
     "conjecture_report",
 ]
-
-XOR_RANK_MAX_ARITY = 6
 
 
 @dataclass(frozen=True)
@@ -167,10 +165,9 @@ def nondet_cost_bound(ess: EssentialSet) -> int:
 def xor_matrix_rank(f: BooleanFunction) -> int:
     """Exact rational rank of the 2^n x 2^n matrix f(x + y), by
     fraction-free elimination."""
-    if f.arity > XOR_RANK_MAX_ARITY:
-        raise BudgetExceededError(f"xor_matrix_rank limited to arity <= {XOR_RANK_MAX_ARITY}")
+    budget.require("xor_rank", f.arity, "xor_matrix_rank limited to arity")
     n = 1 << f.arity
-    m = [[(f.table >> (x ^ y)) & 1 for y in range(n)] for x in range(n)]
+    m = XorFunction(f).matrix()
     rank = 0
     prev = 1
     for col in range(n):
@@ -227,7 +224,7 @@ def conjecture_report(f: BooleanFunction) -> ConjectureReport:
     spec = fourier(f)
     sparsity = spec.sparsity
     rank = xor_matrix_rank(f)
-    if f.is_constant() and f.table == 0:
+    if f.table == 0:
         ess_count = None
         cost = None
     else:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import budget
 from .boolfn import (
     BooleanFunction,
     RestrictedFunction,
@@ -30,6 +31,7 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     _kernel_bits,
+    _reduce_low,
     _rref_bits,
     _solve_bits,
     _span_order,
@@ -60,13 +62,6 @@ __all__ = [
     "parity_bs",
     "sampled_parity_bs",
 ]
-
-CERT_MAX_ARITY = 10
-DEPTH_MAX_ARITY = 8
-WBS_EXACT_MAX_DIM = 4
-WBS_SAMPLED_MAX_DIM = 5
-PBS_EXACT_MAX_ARITY = 4
-PBS_SAMPLED_MAX_ARITY = 8
 
 
 @dataclass(frozen=True)
@@ -255,8 +250,7 @@ def parity_certificate(
     """
     rf = _localize(f)
     m = rf.local.arity
-    if rf.ambient.ncols > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"parity_certificate limited to ambient arity <= {CERT_MAX_ARITY}")
+    budget.require("parity_certificate", rf.ambient.ncols, "parity_certificate limited to ambient arity")
     y = local_point(rf, x)
     table = rf.local.table
     want = (table >> y) & 1
@@ -275,8 +269,7 @@ def cxor_profile(f: BooleanFunction | RestrictedFunction) -> bytes:
     """Parity certificate size at every input, indexed by packed local
     point (the ambient input for a BooleanFunction)."""
     rf = _localize(f)
-    if rf.ambient.ncols > CERT_MAX_ARITY:
-        raise BudgetExceededError(f"parity certificate aggregates limited to ambient arity <= {CERT_MAX_ARITY}")
+    budget.require("parity_certificate", rf.ambient.ncols, "parity certificate aggregates limited to ambient arity")
     return _cxor_profile(rf.local.arity, rf.local.table)
 
 
@@ -424,8 +417,7 @@ def parity_depth(f: BooleanFunction | RestrictedFunction) -> tuple[int, ParityDe
     the smallest packed query.
     """
     rf = _localize(f)
-    if rf.ambient.ncols > DEPTH_MAX_ARITY:
-        raise BudgetExceededError(f"parity_depth limited to ambient arity <= {DEPTH_MAX_ARITY}")
+    budget.require("parity_depth", rf.ambient.ncols, "parity_depth limited to ambient arity")
     m = rf.local.arity
     d, _ = _dxor(m, rf.local.table)
     tree = _rebuild_tree(m, rf.local.table)
@@ -475,10 +467,7 @@ def _sorted_bases(m: int) -> tuple[tuple[int, ...], ...]:
             out.append(tuple(prefix))
             return
         for v in range(start, 1 << m):
-            red = v
-            for r in ech:
-                if red & (r & -r):
-                    red ^= r
+            red = _reduce_low(v, ech)
             if red:
                 ins = sorted(ech + [red], key=lambda r: r & -r)
                 rec(prefix + [v], ins, v + 1)
@@ -549,18 +538,6 @@ def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = sli
     return np.stack([_packing_dp(m, row) for row in codes])
 
 
-def _basis_matrix(m: int, basis: tuple[int, ...]) -> Gf2Matrix:
-    """Matrix B whose columns are the basis vectors (so B maps the
-    standard basis onto them)."""
-    rows = []
-    for i in range(m):
-        acc = 0
-        for j, col in enumerate(basis):
-            acc |= ((col >> i) & 1) << j
-        rows.append(acc)
-    return Gf2Matrix.from_bits(rows, m)
-
-
 def _weak_scan(m: int, table: int, weights: np.ndarray, points: slice = slice(None)) -> tuple[int, int]:
     """The max over the chosen points of the least block sensitivity
     through the bases whose span weights are the columns of ``weights``,
@@ -580,12 +557,11 @@ def _points(rf: RestrictedFunction, x: Gf2Vector | None) -> slice:
 
 def _exact_wbs_dim(rf: RestrictedFunction, x: Gf2Vector | None) -> int:
     m = rf.local.arity
-    if m > WBS_EXACT_MAX_DIM:
-        if x is None:
-            raise BudgetExceededError(f"wbs_xor limited to dimension <= {WBS_EXACT_MAX_DIM}, got {m}")
-        raise BudgetExceededError(
-            f"weak_parity_bs exact search limited to dimension <= {WBS_EXACT_MAX_DIM}, got {m}; "
-            "use sampled_weak_parity_bs"
+    if x is None:
+        budget.require("weak_parity_bs", m, "wbs_xor limited to dimension")
+    else:
+        budget.require(
+            "weak_parity_bs", m, "weak_parity_bs exact search limited to dimension", "; use sampled_weak_parity_bs"
         )
     return m
 
@@ -601,7 +577,8 @@ def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector | None)
     rf = _localize(f)
     m = _exact_wbs_dim(rf, x)
     v, j = _weak_scan(m, rf.local.table, _basis_weights(m), _points(rf, x))
-    return v, _basis_matrix(m, _sorted_bases(m)[j])
+    # the columns of the witness are the basis vectors
+    return v, Gf2Matrix.from_bits(_sorted_bases(m)[j], m).transpose()
 
 
 def sampled_weak_parity_bs(
@@ -617,8 +594,8 @@ def sampled_weak_parity_bs(
         raise DomainError(f"samples must be >= 1, got {samples}")
     rf = _localize(f)
     m = rf.local.arity
-    if m > WBS_SAMPLED_MAX_DIM:
-        raise BudgetExceededError(f"sampled_weak_parity_bs limited to dimension <= {WBS_SAMPLED_MAX_DIM}, got {m}")
+    if m > BITMAP_MAX_DIM:
+        raise BudgetExceededError(f"sampled_weak_parity_bs limited to dimension <= {BITMAP_MAX_DIM}, got {m}")
     if rf.local.is_constant():
         return 0, Gf2Matrix.identity(m)
     mats = [Gf2Matrix.identity(m)] + sample_gl(m, samples, seed)
@@ -687,10 +664,7 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     right-hand sides increasing; the witness is the first maximizer.
     """
     n = f.arity
-    if n > PBS_EXACT_MAX_ARITY:
-        raise BudgetExceededError(
-            f"parity_bs exact search limited to arity <= {PBS_EXACT_MAX_ARITY}, got {n}; use sampled_parity_bs"
-        )
+    budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
     return _max_over_cosets(f, _coset_scan(n))
 
 
@@ -702,21 +676,19 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
-    if n > PBS_SAMPLED_MAX_ARITY:
-        raise BudgetExceededError(f"sampled_parity_bs limited to arity <= {PBS_SAMPLED_MAX_ARITY}, got {n}")
+    budget.require("sampled_parity_bs", n, "sampled_parity_bs limited to arity")
+    # each candidate's wbs_xor is exact, so its dimension stays within that cap
+    max_dim = budget.current.get().weak_parity_bs
     rnd = random.Random(seed)
     full = Coset.full_space(n)
-    candidates = [full] if n <= WBS_EXACT_MAX_DIM else []
+    candidates = [full] if n <= max_dim else []
     while len(candidates) < samples:
-        dim = rnd.randint(0, min(n, WBS_EXACT_MAX_DIM))
+        dim = rnd.randint(0, min(n, max_dim))
         rows = []
         ech: list[int] = []
         while len(rows) < n - dim:
             v = rnd.getrandbits(n)
-            red = v
-            for r in sorted(ech, key=lambda r: r & -r):
-                if red & (r & -r):
-                    red ^= r
+            red = _reduce_low(v, sorted(ech, key=lambda r: r & -r))
             if red:
                 rows.append(v)
                 ech.append(red)

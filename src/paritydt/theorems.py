@@ -384,20 +384,19 @@ def _check_budgets(fam: Family, theorems: list[str]) -> None:
             )
 
 
-def _sweep(job: tuple[str, int, list[int], int]) -> tuple[int, list[dict]]:
-    """(instances checked, violations) of one theorem over some tables;
-    stops at the violation cap."""
-    theorem, n, tables, seed = job
+def _sweep(job: tuple[str, int, list[int], int, int]) -> list[tuple[int, dict]]:
+    """(family index, violation) pairs of one theorem over the tables
+    that start at family index ``start``; stops at the violation cap."""
+    theorem, n, tables, seed, start = job
     check = THEOREMS[theorem].check
-    count, viol = 0, []
-    for t in tables:
-        count += 1
+    viol = []
+    for i, t in enumerate(tables, start):
         v = check(BooleanFunction(n, t), seed)
         if v is not None:
-            viol.append(v)
+            viol.append((i, v))
             if len(viol) >= _VIOLATION_CAP:
                 break
-    return count, viol
+    return viol
 
 
 def run_verification_suite(
@@ -419,16 +418,15 @@ def run_verification_suite(
         fixed = THEOREMS[th].instance
         n, items = (fam.n, tables) if fixed is None else (fixed.arity, [fixed.table])
         if workers == 1 or len(items) < 4 * workers:
-            inst, viol = _sweep((th, n, items, fam.seed))
+            found = _sweep((th, n, items, fam.seed, 0))
         else:
             step = -(-len(items) // (4 * workers))
-            jobs = [(th, n, items[i : i + step], fam.seed) for i in range(0, len(items), step)]
-            inst, viol = 0, []
+            jobs = [(th, n, items[i : i + step], fam.seed, i) for i in range(0, len(items), step)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for ci, cv in pool.map(_sweep, jobs):
-                    inst += ci
-                    viol.extend(cv)
-            viol = viol[:_VIOLATION_CAP]
+                found = [iv for chunk in pool.map(_sweep, jobs) for iv in chunk][:_VIOLATION_CAP]
+        # the serial sweep stops at the capped violation; counting up to it
+        # keeps the count independent of the chunking
+        inst = found[-1][0] + 1 if len(found) == _VIOLATION_CAP else len(items)
         ms = int(1000 * (time.perf_counter() - t0))
-        results.append(VerificationResult(th, fam.spec, inst, viol, ms))
+        results.append(VerificationResult(th, fam.spec, inst, [v for _, v in found], ms))
     return results

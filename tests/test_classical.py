@@ -310,3 +310,9 @@ def test_sampled_symmetrized_bounds():
         assert bs(brute_rotate(f, wit)) == got
     again = sampled_symmetrized("bs", BooleanFunction(3, 150), samples=10, seed=3)
     assert sampled_symmetrized("bs", BooleanFunction(3, 150), samples=10, seed=3) == again
+
+
+def test_sampled_symmetrized_rejects_no_samples():
+    for samples in (0, -1):
+        with pytest.raises(DomainError):
+            sampled_symmetrized("bs", BooleanFunction(3, 150), samples, 0)

@@ -103,6 +103,13 @@ def test_measure_extended_budget(capsys):
     assert code2 == 2 and err.startswith("refused:")
 
 
+def test_sampled_bsxor_draws_cosets_up_to_the_exact_wbs_cap(capsys):
+    argv = ["measure", "--fn", "zoo:and:6", "--measures", "bsxor", "--sample", "6", "--seed", "5"]
+    assert run_json(capsys, argv)[1]["results"]["bsxor"]["value"] == 4
+    # --max-exact-n lifts the weak-parity-bs cap, so 5-dimensional cosets are drawn too
+    assert run_json(capsys, argv + ["--max-exact-n", "5"])[1]["results"]["bsxor"]["value"] == 5
+
+
 def test_measure_errors(capsys):
     assert run(["measure", "--fn", "zoo:or:2", "--measures", "dx"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -298,9 +305,11 @@ def test_verify_rejects_non_positive_threads(capsys, threads):
         theorems.run_verification_suite("exhaustive:1", ["eq1"], int(threads))
 
 
-def test_verify_threads_clamped_to_cpu_count(monkeypatch):
-    # a stand-in executor that runs the chunks in this process, so no
-    # worker process starts whatever count is asked for
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in executor that runs the chunks in this process, so no
+    worker process starts whatever count is asked for; yields the
+    worker counts asked for."""
     started = []
 
     class InlineExecutor:
@@ -317,12 +326,38 @@ def test_verify_threads_clamped_to_cpu_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(theorems, "ProcessPoolExecutor", InlineExecutor)
+    return started
+
+
+def test_verify_threads_clamped_to_cpu_count(monkeypatch, inline_pool):
+    started = inline_pool
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
     serial = theorems.run_verification_suite("exhaustive:3", ["eq1", "thm2"])
     wide = theorems.run_verification_suite("exhaustive:3", ["eq1", "thm2"], threads=64)
     assert started == [3, 3]
     expected = [(r.theorem, r.instances, r.violations) for r in serial]
     assert [(r.theorem, r.instances, r.violations) for r in wide] == expected
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_verify_threads_count_instances_like_serial(capsys, monkeypatch, inline_pool, threads):
+    # past the violation cap the count must not depend on the chunking
+    def fails_every_third(f, seed):
+        return {"function": f.spec} if f.table % 3 == 0 else None
+
+    planted = dataclasses.replace(theorems.THEOREMS["eq1"], check=fails_every_third)
+    monkeypatch.setitem(theorems.THEOREMS, "eq1", planted)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: threads)
+    argv = ["verify", "--family", "exhaustive:3", "--theorems", "eq1"]
+    code, serial = run_json(capsys, argv)
+    assert code == 1
+    code, chunked = run_json(capsys, argv + ["--threads", str(threads)])
+    assert code == 1
+    assert inline_pool == [threads]
+    assert strip_runtimes(chunked) == strip_runtimes(serial)
+    r = serial["results"][0]
+    assert r["instances"] == 13
+    assert [v["function"] for v in r["violations"]] == [BooleanFunction(3, t).spec for t in range(0, 13, 3)]
 
 
 def test_verify_reports_violations(capsys, monkeypatch):

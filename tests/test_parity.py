@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paritydt import budget
 from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, parse_function_spec, restrict
 from paritydt.classical import _max_packing
@@ -447,13 +448,13 @@ def test_wbs_budget():
         sampled_weak_parity_bs(BooleanFunction(6, 0), Gf2Vector(6, 0), 2, 0)
 
 
-def test_wbs_refuses_dimension_beyond_bitmaps(monkeypatch):
+def test_wbs_refuses_dimension_beyond_bitmaps():
     # --max-exact-n can lift the exact cap, but 2^m-bit codes stop at m = 5
-    monkeypatch.setattr(parity_mod, "WBS_EXACT_MAX_DIM", 6)
-    with pytest.raises(BudgetExceededError):
-        wbs_xor(parse_function_spec("zoo:and:6"))
-    with pytest.raises(BudgetExceededError):
-        weak_parity_bs(parse_function_spec("zoo:and:6"), Gf2Vector(6, 0))
+    with budget.extended(6):
+        with pytest.raises(BudgetExceededError):
+            wbs_xor(parse_function_spec("zoo:and:6"))
+        with pytest.raises(BudgetExceededError):
+            weak_parity_bs(parse_function_spec("zoo:and:6"), Gf2Vector(6, 0))
 
 
 def test_sampled_wbs_rejects_no_samples():
