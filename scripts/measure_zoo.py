@@ -15,8 +15,8 @@ from paritydt.parity import (
     c0_xor,
     c1_xor,
     c_xor,
+    d_xor,
     parity_bs,
-    parity_depth,
     sampled_parity_bs,
     sampled_weak_parity_bs,
     wbs_xor,
@@ -55,7 +55,7 @@ def measure_row(name: str, n: int, sample: bool, seed: int) -> list[str]:
         cell(lambda: decision_depth(f)[0]),
         cell(lambda: c(f)),
         cell(lambda: bs(f)),
-        cell(lambda: parity_depth(f)[0]),
+        cell(lambda: d_xor(f)),
         cell(lambda: c_xor(f)),
         cell(lambda: c0_xor(f)),
         cell(lambda: c1_xor(f)),

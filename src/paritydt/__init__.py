@@ -91,6 +91,7 @@ from .parity import (
     c1_xor,
     c_xor,
     cxor_profile,
+    d_xor,
     parity_bs,
     parity_certificate,
     parity_depth,

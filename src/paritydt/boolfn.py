@@ -135,12 +135,13 @@ class RestrictedFunction:
 
 def as_restricted(f: BooleanFunction) -> RestrictedFunction:
     """f presented on the full space with the identity frame."""
-    return RestrictedFunction(
-        ambient=Coset.full_space(f.arity),
-        local=f,
-        basis=Gf2Matrix.identity(f.arity),
-        offset=Gf2Vector.zeros(f.arity),
-    )
+    ambient, basis, offset = _identity_frame(f.arity)
+    return RestrictedFunction(ambient=ambient, local=f, basis=basis, offset=offset)
+
+
+@lru_cache(maxsize=MAX_WIDTH + 1)
+def _identity_frame(n: int) -> tuple[Coset, Gf2Matrix, Gf2Vector]:
+    return Coset.full_space(n), Gf2Matrix.identity(n), Gf2Vector.zeros(n)
 
 
 def local_point(rf: RestrictedFunction, x: Gf2Vector) -> int:

@@ -27,7 +27,7 @@ from .parity import (
     c0_xor,
     c1_xor,
     c_xor,
-    parity_depth,
+    d_xor,
 )
 
 __all__ = [
@@ -233,7 +233,7 @@ def conjecture_report(f: BooleanFunction) -> ConjectureReport:
         cost = nondet_cost_bound(ess)
     return ConjectureReport(
         f.arity,
-        parity_depth(f)[0],
+        d_xor(f),
         c_xor(f),
         c0_xor(f),
         c1_xor(f),

@@ -52,6 +52,7 @@ __all__ = [
     "c1_xor",
     "c_xor",
     "parity_depth",
+    "d_xor",
     "pdt_depth",
     "pdt_eval",
     "pdt_leaf_cosets",
@@ -198,6 +199,10 @@ def dual_frames(m: int, k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ..
     )
 
 
+# every table of dimension <= DENSE_MAX_DIM is looked up in a table of
+# all of them, built on first use; the memo dicts hold larger dimensions
+DENSE_MAX_DIM = 4
+
 _profile_cache: dict[tuple[int, int], bytes] = {}
 
 
@@ -208,6 +213,8 @@ def _cxor_profile(m: int, table: int) -> bytes:
     the inputs whose V-coset is constant; the first k that covers an
     input is its certificate size.
     """
+    if m <= DENSE_MAX_DIM:
+        return _dense_profile(m)[table].tobytes()
     cached = _profile_cache.get((m, table))
     if cached is not None:
         return cached
@@ -237,6 +244,31 @@ def _cxor_profile(m: int, table: int) -> bytes:
             break
     _profile_cache[(m, table)] = res = bytes(out)
     return res
+
+
+@lru_cache(maxsize=DENSE_MAX_DIM + 1)
+def _dense_profile(m: int) -> np.ndarray:
+    """_cxor_profile of every table of dimension m, one uint8 row per
+    table (1 MiB at m = 4): the same scan, run on many tables at once,
+    with each direction space's constancy mask ORed into one cover."""
+    out = np.zeros((1 << (1 << m), 1 << m), dtype=np.uint8)
+    # in chunks of 4096 tables, so the temporaries stay small
+    for start in range(0, len(out), 4096):
+        rows = out[start:start + 4096]
+        tables = np.arange(start, start + len(rows), dtype=np.uint16)
+        cover = np.zeros_like(tables)
+        # every point coset is constant, so codimension m covers what is left
+        for k in range(m):
+            for _wrows, vrows in dual_frames(m, k):
+                or_t, and_t = tables.copy(), tables.copy()
+                for v in vrows:
+                    or_t |= _table_xor_translate(or_t, m, v)
+                    and_t &= _table_xor_translate(and_t, m, v)
+                cover |= ~(or_t ^ and_t)
+            for x in range(1 << m):
+                rows[:, x] += ((cover >> x) & 1) == 0
+    out.setflags(write=False)
+    return out
 
 
 def parity_certificate(
@@ -314,62 +346,67 @@ def _split_frames(m: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...], tup
     return res
 
 
-def _gather(table: int, idxs: tuple[int, ...]) -> int:
+def _gather(table: int | np.ndarray, idxs: tuple[int, ...]) -> int | np.ndarray:
+    """The bits of ``table`` at ``idxs``, packed in order; elementwise on
+    an array of tables."""
     acc = 0
     for i, p in enumerate(idxs):
         acc |= ((table >> p) & 1) << i
     return acc
 
 
-@lru_cache(maxsize=None)
-def _parity_table(m: int, w: int) -> int:
-    t = 0
-    for x in range(1 << m):
-        t |= ((x & w).bit_count() & 1) << x
-    return t
-
-
-def _affine_query(m: int, table: int) -> int | None:
-    """The w with f = <x,w> (+1), or None; assumes f nonconstant."""
-    f0 = table & 1
-    w = 0
-    for i in range(m):
-        if ((table >> (1 << i)) & 1) != f0:
-            w |= 1 << i
-    if w == 0:
-        return None
-    pt = _parity_table(m, w)
-    full = (1 << (1 << m)) - 1
-    if table == (pt if f0 == 0 else full & ~pt):
-        return w
-    return None
+@lru_cache(maxsize=DENSE_MAX_DIM + 1)
+def _dense_depth(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_dxor of every table of dimension m, as an int8 depth and a uint8
+    first optimal query (0 for constants), 64 KiB each at m = 4: a DP
+    over both halves of every table along each query, keeping the first
+    minimising query, which is where the search below stops."""
+    tables = np.arange(1 << (1 << m), dtype=np.uint16)
+    # above any depth, but for the two constants
+    depth = np.full(tables.size, m + 1, dtype=np.int8)
+    depth[[0, -1]] = 0
+    query = np.zeros(tables.size, dtype=np.uint8)
+    if m:
+        sub = _dense_depth(m - 1)[0]
+        for w in range(1, 1 << m):
+            idx0, idx1, _ = _split_frames(m, w)
+            d = 1 + np.maximum(sub[_gather(tables, idx0)], sub[_gather(tables, idx1)])
+            better = d < depth
+            depth[better] = d[better]
+            query[better] = w
+    depth.setflags(write=False)
+    query.setflags(write=False)
+    return depth, query
 
 
 def _dxor(m: int, table: int) -> tuple[int, int | None]:
+    if m <= DENSE_MAX_DIM:
+        depth, query = _dense_depth(m)
+        d = int(depth[table])
+        return d, int(query[table]) if d else None
     full = (1 << (1 << m)) - 1
     if table == 0 or table == full:
         return 0, None
     got = _dxor_memo.get((m, table))
     if got is not None:
         return got
-    w_aff = _affine_query(m, table)
-    if w_aff is not None:
-        _dxor_memo[(m, table)] = (1, w_aff)
-        return 1, w_aff
-    # nonconstant and non-affine forces depth >= 2; below dimension 6 the
-    # certificate bound is cheap and usually tighter
-    lb = max(_cxor_profile(m, table)) if m <= 5 else 2
+    # a nonconstant table needs one query, and no restriction is deeper
+    # than the table: the halves' depths bound it for free, where a
+    # certificate bound would cost a profile scan
+    lb = 1
     best = None
     best_w = None
     for w in range(1, 1 << m):
         idx0, idx1, _ = _split_frames(m, w)
         d0 = _dxor(m - 1, _gather(table, idx0))[0]
         d1 = _dxor(m - 1, _gather(table, idx1))[0]
-        d = 1 + (d0 if d0 >= d1 else d1)
-        if best is None or d < best:
-            best, best_w = d, w
-            if best == lb:
-                break
+        half = d0 if d0 >= d1 else d1
+        if best is None or half + 1 < best:
+            best, best_w = half + 1, w
+        if half > lb:
+            lb = half
+        if best == lb:
+            break
     _dxor_memo[(m, table)] = (best, best_w)
     return best, best_w
 
@@ -413,17 +450,23 @@ def parity_depth(f: BooleanFunction | RestrictedFunction) -> tuple[int, ParityDe
     """Exact parity decision tree depth with an optimal tree.
 
     Branch and bound over all 2^m - 1 query classes, memoized on the
-    local truth table of the canonical restriction; ties break toward
-    the smallest packed query.
+    local truth table of the canonical restriction (a table lookup at
+    dimension <= 4); ties break toward the smallest packed query.
     """
     rf = _localize(f)
-    budget.require("parity_depth", rf.ambient.ncols, "parity_depth limited to ambient arity")
-    m = rf.local.arity
-    d, _ = _dxor(m, rf.local.table)
-    tree = _rebuild_tree(m, rf.local.table)
+    d = d_xor(rf)
+    tree = _rebuild_tree(rf.local.arity, rf.local.table)
     if isinstance(f, RestrictedFunction):
         tree = _to_ambient(tree, rf)
     return d, tree
+
+
+def d_xor(f: BooleanFunction | RestrictedFunction) -> int:
+    """Exact parity decision tree depth: parity_depth's value, without
+    building its tree."""
+    rf = _localize(f)
+    budget.require("parity_depth", rf.ambient.ncols, "parity_depth limited to ambient arity")
+    return _dxor(rf.local.arity, rf.local.table)[0]
 
 
 def _to_ambient(t: ParityDecisionTree, rf: RestrictedFunction) -> ParityDecisionTree:
@@ -677,8 +720,9 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
     budget.require("sampled_parity_bs", n, "sampled_parity_bs limited to arity")
-    # each candidate's wbs_xor is exact, so its dimension stays within that cap
-    max_dim = budget.current.get().weak_parity_bs
+    # each candidate's wbs_xor is exact, so its dimension stays within that
+    # cap and within the block bitmaps
+    max_dim = min(budget.current.get().weak_parity_bs, BITMAP_MAX_DIM)
     rnd = random.Random(seed)
     full = Coset.full_space(n)
     candidates = [full] if n <= max_dim else []

@@ -147,7 +147,7 @@ def _thm1(f: BooleanFunction, seed: int) -> dict | None:
     """D+(f) <= C0+(f) * C1+(f)."""
     if f.is_constant():
         return None
-    d = parity.parity_depth(f)[0]
+    d = parity.d_xor(f)
     z, o = parity.c0_xor(f), parity.c1_xor(f)
     if d > z * o:
         return {"function": f.spec, "dxor": d, "c0xor": z, "c1xor": o}
@@ -164,7 +164,7 @@ def _thm2(f: BooleanFunction, seed: int) -> dict | None:
 
 def _prop_cd(f: BooleanFunction, seed: int) -> dict | None:
     """C+(f) <= D+(f)."""
-    cv, d = parity.c_xor(f), parity.parity_depth(f)[0]
+    cv, d = parity.c_xor(f), parity.d_xor(f)
     if cv > d:
         return {"function": f.spec, "cxor": cv, "dxor": d}
     return None
@@ -204,7 +204,7 @@ def _monotone(f: BooleanFunction, seed: int) -> dict | None:
 
 
 def _parity_measures(f: BooleanFunction) -> tuple[int, int, int]:
-    return parity.parity_depth(f)[0], parity.c_xor(f), parity.parity_bs(f)[0]
+    return parity.d_xor(f), parity.c_xor(f), parity.parity_bs(f)[0]
 
 
 def _invariance(f: BooleanFunction, seed: int) -> dict | None:

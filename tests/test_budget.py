@@ -40,6 +40,7 @@ GUARDED = [
     ("evaluate_via_certificates", "parity_certificate",
      lambda f: certify.evaluate_via_certificates(f, certify.ParityOracle(origin(f.arity)))),
     ("parity_depth", "parity_depth", lambda f: parity.parity_depth(f)),
+    ("d_xor", "parity_depth", lambda f: parity.d_xor(f)),
     ("weak_parity_bs", "weak_parity_bs", lambda f: parity.weak_parity_bs(f, origin(f.arity))),
     ("weak_parity_bs-all", "weak_parity_bs", lambda f: parity.weak_parity_bs(f, None)),
     ("wbs_xor", "weak_parity_bs", lambda f: parity.wbs_xor(f)),

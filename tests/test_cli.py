@@ -110,6 +110,18 @@ def test_sampled_bsxor_draws_cosets_up_to_the_exact_wbs_cap(capsys):
     assert run_json(capsys, argv + ["--max-exact-n", "5"])[1]["results"]["bsxor"]["value"] == 5
 
 
+def test_sampled_bsxor_stays_within_block_bitmaps(capsys):
+    # --max-exact-n 6 lifts the weak-parity-bs cap past the 5-dimensional
+    # bitmaps; the sampled fallback still draws only cosets it can measure
+    argv = ["measure", "--fn", "zoo:and:7", "--measures", "bsxor", "--sample", "6", "--max-exact-n", "6"]
+    code, got = run_json(capsys, argv)
+    assert code == 0
+    res = got["results"]["bsxor"]
+    assert res["exact"] is False and res["note"] == "lower bound from sampled cosets"
+    assert 1 <= res["value"] <= 5
+    assert 7 - len(res["witness"]["coset"]["constraints"]) <= parity.BITMAP_MAX_DIM
+
+
 def test_measure_errors(capsys):
     assert run(["measure", "--fn", "zoo:or:2", "--measures", "dx"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -235,6 +247,18 @@ def test_verify_small_family(capsys):
         assert r["instances"] == 16
         assert r["violations"] == []
         assert r["family"] == "exhaustive:2"
+
+
+def test_verify_leaves_no_small_dimension_memo_entries(capsys):
+    # every table of dimension <= 4 is read from the dense tables, so the
+    # sweep cannot pass on a memo hit and the memos do not grow with it
+    memos = (parity._dxor_memo, parity._profile_cache)
+    before = [dict(memo) for memo in memos]
+    code, got = run_json(capsys, ["verify", "--family", "exhaustive:3", "--theorems", "thm1,prop-cd"])
+    assert code == 0
+    assert [r["instances"] for r in got["results"]] == [256, 256]
+    assert [dict(memo) for memo in memos] == before
+    assert not [key for memo in memos for key in memo if key[0] <= parity.DENSE_MAX_DIM]
 
 
 def test_verify_zoo_family(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from paritydt import budget
 from paritydt import parity as parity_mod
-from paritydt.boolfn import BooleanFunction, parse_function_spec, restrict
+from paritydt.boolfn import BooleanFunction, _table_xor_translate, parse_function_spec, restrict
 from paritydt.classical import _max_packing
 from paritydt.errors import BudgetExceededError, DomainError
 from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _kernel_bits, _span_order, enumerate_subspaces, parity
@@ -22,6 +22,7 @@ from paritydt.parity import (
     c1_xor,
     c_xor,
     cxor_profile,
+    d_xor,
     parity_bs,
     parity_certificate,
     parity_depth,
@@ -207,6 +208,115 @@ def reference_parity_bs(f):
     return best, witness
 
 
+_reference_profile_memo = {}
+
+
+def reference_cxor_profile(m, table):
+    """The scalar profile scan the dense table replaced at dimension <= 4:
+    per direction space (decreasing dimension), close the table under its
+    translations and mark the inputs whose coset is constant."""
+    cached = _reference_profile_memo.get((m, table))
+    if cached is not None:
+        return cached
+    size = 1 << m
+    full = (1 << size) - 1
+    out = bytearray(size)
+    remaining = full
+    if table == 0 or table == full:
+        _reference_profile_memo[(m, table)] = res = bytes(size)
+        return res
+    for k in range(m + 1):
+        for _wrows, vrows in parity_mod.dual_frames(m, k):
+            or_t = and_t = table
+            for v in vrows:
+                or_t |= _table_xor_translate(or_t, m, v)
+                and_t &= _table_xor_translate(and_t, m, v)
+            eq = full & ~(or_t ^ and_t)
+            new = eq & remaining
+            while new:
+                low = new & -new
+                out[low.bit_length() - 1] = k
+                new ^= low
+            remaining &= ~eq
+            if not remaining:
+                break
+        if not remaining:
+            break
+    _reference_profile_memo[(m, table)] = res = bytes(out)
+    return res
+
+
+@functools.lru_cache(maxsize=None)
+def reference_parity_table(m, w):
+    t = 0
+    for x in range(1 << m):
+        t |= ((x & w).bit_count() & 1) << x
+    return t
+
+
+def reference_affine_query(m, table):
+    """The w with f = <x,w> (+1), or None; assumes f nonconstant."""
+    f0 = table & 1
+    w = 0
+    for i in range(m):
+        if ((table >> (1 << i)) & 1) != f0:
+            w |= 1 << i
+    if w == 0:
+        return None
+    pt = reference_parity_table(m, w)
+    full = (1 << (1 << m)) - 1
+    if table == (pt if f0 == 0 else full & ~pt):
+        return w
+    return None
+
+
+_reference_dxor_memo = {}
+
+
+def reference_dxor(m, table):
+    """The scalar depth search the dense table replaced at dimension <= 4:
+    memoised branch and bound with the affine shortcut and the profile
+    lower bound; the first strict minimum is the query."""
+    full = (1 << (1 << m)) - 1
+    if table == 0 or table == full:
+        return 0, None
+    got = _reference_dxor_memo.get((m, table))
+    if got is not None:
+        return got
+    w_aff = reference_affine_query(m, table)
+    if w_aff is not None:
+        _reference_dxor_memo[(m, table)] = (1, w_aff)
+        return 1, w_aff
+    lb = max(reference_cxor_profile(m, table)) if m <= 5 else 2
+    best = None
+    best_w = None
+    for w in range(1, 1 << m):
+        idx0, idx1, _ = parity_mod._split_frames(m, w)
+        d0 = reference_dxor(m - 1, parity_mod._gather(table, idx0))[0]
+        d1 = reference_dxor(m - 1, parity_mod._gather(table, idx1))[0]
+        d = 1 + (d0 if d0 >= d1 else d1)
+        if best is None or d < best:
+            best, best_w = d, w
+            if best == lb:
+                break
+    _reference_dxor_memo[(m, table)] = (best, best_w)
+    return best, best_w
+
+
+def reference_tree(m, table):
+    """The optimal tree along reference_dxor's queries."""
+    d, w = reference_dxor(m, table)
+    if d == 0:
+        return ParityLeaf(table & 1)
+    idx0, idx1, pivots = parity_mod._split_frames(m, w)
+    off1 = 1 << ((w & -w).bit_length() - 1)
+    return ParityQuery(
+        Gf2Vector(m, w),
+        parity_mod._lift_tree(reference_tree(m - 1, parity_mod._gather(table, idx0)), pivots, m, 0),
+        parity_mod._lift_tree(reference_tree(m - 1, parity_mod._gather(table, idx1)), pivots, m, off1),
+    )
+
+
 tables4 = st.integers(min_value=0, max_value=(1 << 16) - 1)
 
 
@@ -366,6 +476,71 @@ def test_pdt_jsonable_shape():
 def test_depth_budget():
     with pytest.raises(BudgetExceededError):
         parity_depth(BooleanFunction(9, 0))
+    with pytest.raises(BudgetExceededError):
+        d_xor(BooleanFunction(9, 0))
+
+
+def test_d_xor_is_the_depth_of_parity_depth():
+    f = parse_function_spec("zoo:example31:3")
+    rf = restrict(f, Coset.full_space(3).with_constraint(Gf2Vector(3, 0b001), 0))
+    for g in (f, rf, parse_function_spec("zoo:maj:5"), parse_function_spec("zoo:parity:6"), BooleanFunction(2, 0)):
+        assert d_xor(g) == parity_depth(g)[0]
+
+
+# ---------------------------------------------------------------------------
+# the dense tables at dimension <= 4 against the scalar searches
+# ---------------------------------------------------------------------------
+
+def _assert_dense_matches_reference(m, table):
+    depth, query = parity_mod._dense_depth(m)
+    d, w = reference_dxor(m, table)
+    assert (int(depth[table]), int(query[table])) == (d, w or 0), (m, table)
+    assert parity_mod._dense_profile(m)[table].tobytes() == reference_cxor_profile(m, table), (m, table)
+    f = BooleanFunction(m, table)
+    assert pdt_jsonable(parity_depth(f)[1]) == pdt_jsonable(reference_tree(m, table)), (m, table)
+    assert d_xor(f) == d
+    assert cxor_profile(f) == reference_cxor_profile(m, table)
+
+
+def test_dense_tables_match_scalar_search_all_n3():
+    for m in range(4):
+        for t in range(1 << (1 << m)):
+            _assert_dense_matches_reference(m, t)
+
+
+def test_dense_tables_match_scalar_search_n4_seeded():
+    rnd = random.Random(2026)
+    tables = [0, 0xFFFF, 0x8000, 0x6996, 0xE8E8, 0x00FF] + rnd.sample(range(1 << 16), 2000)
+    for t in tables:
+        _assert_dense_matches_reference(4, t)
+
+
+def test_dense_tables_are_read_only():
+    for m in range(parity_mod.DENSE_MAX_DIM + 1):
+        depth, query = parity_mod._dense_depth(m)
+        profile = parity_mod._dense_profile(m)
+        assert (depth.dtype, depth.shape) == (np.int8, (1 << (1 << m),))
+        assert (query.dtype, query.shape) == (np.uint8, (1 << (1 << m),))
+        assert (profile.dtype, profile.shape) == (np.uint8, (1 << (1 << m), 1 << m))
+        for arr in (depth, query, profile):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    assert parity_mod._dense_profile(4).nbytes == 1 << 20
+
+
+def test_depth_above_dense_tables_matches_scalar_search():
+    # from dimension 5 the search runs on, with no affine shortcut: an
+    # affine table still stops at its one depth-1 query
+    rnd = random.Random(5)
+    cases = [(5, rnd.getrandbits(32)) for _ in range(12)]
+    for spec in ("zoo:parity:5", "zoo:dictator:5", "zoo:and:5", "anf:5:x1*x2+x3",
+                 "zoo:parity:6", "anf:6:x2+x5+1", "anf:6:x1*x2"):
+        f = parse_function_spec(spec)
+        cases.append((f.arity, f.table))
+    for m, t in cases:
+        assert parity_mod._dxor(m, t) == reference_dxor(m, t), (m, t)
+        assert pdt_jsonable(parity_depth(BooleanFunction(m, t))[1]) == pdt_jsonable(reference_tree(m, t))
 
 
 # ---------------------------------------------------------------------------
