@@ -197,12 +197,6 @@ def _table_xor_translate(t: int, n: int, c: int) -> int:
     return t
 
 
-def _table_partner(t: int, n: int, b: int) -> int:
-    blk = 1 << b
-    lo = _low_mask(n, b)
-    return ((t & lo) << blk) | ((t >> blk) & lo)
-
-
 def shift(f: BooleanFunction, c: Gf2Vector) -> BooleanFunction:
     """The function x -> f(x + c)."""
     if c.width != f.arity:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from . import budget
 from .boolfn import BooleanFunction, restrict
 from .errors import DimensionError, DomainError
-from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, _span_order, parity
-from .parity import ParityCertificate, c1_xor, dual_frames, parity_certificate
+from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, _span_order, dual_frames, parity
+from .parity import ParityCertificate, c1_xor, parity_certificate
 
 __all__ = [
     "ParityOracle",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import budget
-from .boolfn import BooleanFunction, _low_mask, _table_partner, _table_xor_translate, rotate
+from .boolfn import BooleanFunction, _table_xor_translate, rotate
 from .errors import DimensionError, DomainError
 from .gf2 import Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
 
@@ -218,8 +218,8 @@ def _certificate_profile(arity: int, table: int) -> bytes:
     for mask in range(1, 1 << n):
         b = (mask & -mask).bit_length() - 1
         parent = mask & (mask - 1)
-        po = _table_partner(or_t[parent], n, b)
-        pa = _table_partner(and_t[parent], n, b)
+        po = _table_xor_translate(or_t[parent], n, 1 << b)
+        pa = _table_xor_translate(and_t[parent], n, 1 << b)
         or_t[mask] = or_t[parent] | po
         and_t[mask] = and_t[parent] & pa
         eq_by_pop[mask.bit_count()] |= full & ~(or_t[mask] ^ and_t[mask])

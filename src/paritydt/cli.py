@@ -245,20 +245,13 @@ def _comm_command(ns: argparse.Namespace) -> tuple[int, dict]:
         return code, body
     ess = certify.essential_certificate_set(f)
     cost = comm.nondet_cost_bound(ess)
-    k_bound = (1 << ess.codim) * (3 * n) ** ess.codim
+    k_bound = comm.essential_size_bound(n, ess.codim)
     common = {
         "protocol": "nondet", "codim": ess.codim, "k": ess.size,
         "cost": cost, "k_bound": k_bound, "k_within_bound": ess.size <= k_bound,
     }
     if ns.sweep:
-        ok = True
-        for xb in range(size):
-            for yb in range(size):
-                tr = comm.nondet_protocol(f, ess, Gf2Vector(n, xb), Gf2Vector(n, yb))
-                if tr.output != f.value_at(xb ^ yb):
-                    ok = False
-                if tr.output == 1 and tr.total_bits != cost:
-                    ok = False
+        ok = comm.nondet_violation(f, ess) is None
         body["results"] = {**common, "pairs": size * size, "sound_and_complete": ok}
         code = 0 if ok and common["k_within_bound"] else 1
     else:

@@ -37,6 +37,8 @@ __all__ = [
     "simulate_det_protocol",
     "nondet_protocol",
     "nondet_cost_bound",
+    "essential_size_bound",
+    "nondet_violation",
     "xor_matrix_rank",
     "ConjectureReport",
     "conjecture_report",
@@ -160,6 +162,29 @@ def nondet_protocol(
 
 def nondet_cost_bound(ess: EssentialSet) -> int:
     return _index_width(ess.size) + ess.codim
+
+
+def essential_size_bound(n: int, d: int) -> int:
+    """(2^d) (3n)^d, the bound on the size of an essential set of
+    codimension-d certificates of an n-bit function."""
+    return (1 << d) * (3 * n) ** d
+
+
+def nondet_violation(f: BooleanFunction, ess: EssentialSet) -> dict | None:
+    """The first input pair on which the nondeterministic protocol errs,
+    or accepts with a transcript whose length is not its stated cost, as
+    a record; None if it is correct at that cost on every pair."""
+    n = f.arity
+    cost = nondet_cost_bound(ess)
+    for xb in range(1 << n):
+        for yb in range(1 << n):
+            tr = nondet_protocol(f, ess, Gf2Vector(n, xb), Gf2Vector(n, yb))
+            want = f.value_at(xb ^ yb)
+            if tr.output != want:
+                return {"x": xb, "y": yb, "output": tr.output, "expected": want}
+            if tr.output == 1 and tr.total_bits != cost:
+                return {"x": xb, "y": yb, "bits": tr.total_bits, "cost": cost}
+    return None
 
 
 def xor_matrix_rank(f: BooleanFunction) -> int:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionError, DomainError
 
@@ -33,6 +34,7 @@ __all__ = [
     "rref",
     "solve",
     "enumerate_subspaces",
+    "dual_frames",
     "enumerate_gl",
     "sample_gl",
     "subspace_count",
@@ -127,6 +129,24 @@ def _span_order(rows: Sequence[int]) -> list[int]:
         low = (i & -i).bit_length() - 1
         out[i] = out[i & (i - 1)] ^ rows[low]
     return out
+
+
+def _check_rref(rows: Sequence[int]) -> None:
+    """Raise unless rows are a canonical RREF basis."""
+    prev = -1
+    for row in rows:
+        if row == 0:
+            raise DimensionError("zero row in subspace basis")
+        low = (row & -row).bit_length() - 1
+        if low <= prev:
+            raise DimensionError("basis rows not in echelon order")
+        prev = low
+    # pivot columns must be clear in every other row
+    for i, row in enumerate(rows):
+        low = row & -row
+        for j, other in enumerate(rows):
+            if i != j and other & low:
+                raise DimensionError("basis is not reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +335,7 @@ class Subspace:
     def __post_init__(self):
         if self.basis.ncols != self.ncols:
             raise DimensionError("basis ncols mismatch")
-        prev = -1
-        for row in self.basis.row_bits:
-            if row == 0:
-                raise DimensionError("zero row in subspace basis")
-            low = (row & -row).bit_length() - 1
-            if low <= prev:
-                raise DimensionError("basis rows not in echelon order")
-            prev = low
-        # pivot columns must be clear in every other row
-        for i, row in enumerate(self.basis.row_bits):
-            low = row & -row
-            for j, other in enumerate(self.basis.row_bits):
-                if i != j and other & low:
-                    raise DimensionError("basis is not reduced")
+        _check_rref(self.basis.row_bits)
 
     @classmethod
     def from_rows(cls, row_bits: Sequence[int], ncols: int) -> "Subspace":
@@ -377,9 +384,7 @@ class Coset:
             raise DimensionError("constraints ncols mismatch")
         if self.rhs.width != self.constraints.nrows:
             raise DimensionError("rhs width != number of constraint rows")
-        if self.constraints.nrows:
-            # reuse the Subspace checks: constraints must be canonical RREF
-            Subspace(self.ncols, self.constraints)
+        _check_rref(self.constraints.row_bits)
 
     @classmethod
     def full_space(cls, n: int) -> "Coset":
@@ -496,25 +501,57 @@ def gl_order(n: int) -> int:
     return out
 
 
-def enumerate_subspaces(n: int, dim: int) -> Iterator[Subspace]:
-    """All dim-dimensional subspaces of {0,1}^n, each exactly once.
-
-    Deterministic order: pivot patterns in lexicographic order, then the
-    free entries of the RREF basis in binary-counter order.
-    """
+def _subspace_rows(n: int, dim: int) -> Iterator[tuple[int, ...]]:
+    """The RREF basis rows of every dim-dimensional subspace of {0,1}^n,
+    each exactly once: pivot patterns in lexicographic order, then the
+    free entries of the basis in binary-counter order (the first row's
+    entries lowest)."""
     if not 0 <= dim <= n:
         raise DimensionError(f"dim {dim} outside 0..{n}")
     if n > SUBSPACE_ENUM_MAX:
         raise BudgetExceededError(f"subspace enumeration limited to n <= {SUBSPACE_ENUM_MAX}, got {n}")
     for pivots in itertools.combinations(range(n), dim):
         pivset = set(pivots)
-        free = [(i, j) for i in range(dim) for j in range(pivots[i] + 1, n) if j not in pivset]
-        for assign in range(1 << len(free)):
-            rows = [1 << p for p in pivots]
-            for t, (i, j) in enumerate(free):
-                if (assign >> t) & 1:
-                    rows[i] |= 1 << j
-            yield Subspace(n, Gf2Matrix.from_bits(rows, n))
+        # each row's choices in counter order over its own free entries;
+        # product varies its last factor fastest, so the rows go in reverse
+        choices = [
+            [(1 << p) ^ v for v in _span_order([1 << j for j in range(p + 1, n) if j not in pivset])]
+            for p in reversed(pivots)
+        ]
+        for rows in itertools.product(*choices):
+            yield rows[::-1]
+
+
+def enumerate_subspaces(n: int, dim: int) -> Iterator[Subspace]:
+    """All dim-dimensional subspaces of {0,1}^n, each exactly once, in
+    _subspace_rows order."""
+    for rows in _subspace_rows(n, dim):
+        yield Subspace(n, Gf2Matrix.from_bits(rows, n))
+
+
+# the frames of every dimension up to this one are kept, one tuple per
+# (m, k): 28 tuples, with 2,825 frames at m = 6
+FRAME_CACHE_MAX_DIM = 6
+
+
+@lru_cache(maxsize=32)
+def _frame_table(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    return tuple(_frame_stream(m, k))
+
+
+def _frame_stream(m: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    for wrows in _subspace_rows(m, k):
+        yield wrows, tuple(_kernel_bits(wrows, m))
+
+
+def dual_frames(m: int, k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(dual basis rows, direction basis rows) of every codimension-k
+    subspace of {0,1}^m, the dual spaces in _subspace_rows order, so
+    scans in this order are canonical; cached for m <= FRAME_CACHE_MAX_DIM,
+    streamed above."""
+    if m <= FRAME_CACHE_MAX_DIM:
+        return _frame_table(m, k)
+    return _frame_stream(m, k)
 
 
 def enumerate_gl(n: int) -> Iterator[Gf2Matrix]:

@@ -23,6 +23,7 @@ from .boolfn import (
     _table_xor_translate,
     as_restricted,
     local_point,
+    restrict,
 )
 from .classical import _aggregate
 from .errors import BudgetExceededError, DimensionError, DomainError
@@ -35,7 +36,7 @@ from .gf2 import (
     _rref_bits,
     _solve_bits,
     _span_order,
-    enumerate_subspaces,
+    dual_frames,
     parity,
     sample_gl,
 )
@@ -171,36 +172,10 @@ def _localize(f: BooleanFunction | RestrictedFunction) -> RestrictedFunction:
 # parity certificates
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _frames(m: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
-    """Per codimension k: all (dual basis rows, direction basis rows).
-
-    The dual subspaces follow enumerate_subspaces order, so certificate
-    searches that scan these frames in order are canonical.
-    """
-    out = []
-    for k in range(m + 1):
-        level = []
-        for sub in enumerate_subspaces(m, k):
-            wrows = sub.basis.row_bits
-            vrows = tuple(_kernel_bits(list(wrows), m))
-            level.append((wrows, vrows))
-        out.append(tuple(level))
-    return tuple(out)
-
-
-def dual_frames(m: int, k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(dual basis rows, direction basis rows) of every codimension-k
-    subspace of {0,1}^m, in enumerate_subspaces order; cached for m <= 5."""
-    if m <= 5:
-        return _frames(m)[k]
-    return (
-        (s.basis.row_bits, tuple(_kernel_bits(list(s.basis.row_bits), m))) for s in enumerate_subspaces(m, k)
-    )
-
-
-# every table of dimension <= DENSE_MAX_DIM is looked up in a table of
-# all of them, built on first use; the memo dicts hold larger dimensions
+# a 2^m-bit code of dimension m <= DENSE_MAX_DIM fits a uint16, so it can
+# index a table of all codes: every table of that dimension reads its
+# depth and certificate profile from one, and every block bitmap its
+# packing, each built on first use; the memo dicts hold larger dimensions
 DENSE_MAX_DIM = 4
 
 _profile_cache: dict[tuple[int, int], bytes] = {}
@@ -325,13 +300,13 @@ def c_xor(f: BooleanFunction | RestrictedFunction) -> int:
 # parity decision tree depth
 # ---------------------------------------------------------------------------
 
-_split_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
+_split_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _dxor_memo: dict[tuple[int, int], tuple[int, int | None]] = {}
 
 
-def _split_frames(m: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(gather indices for answer 0, for answer 1, direction pivots) of
-    the two restrictions along query w, in canonical frames."""
+def _split_frames(m: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(gather indices for answer 0, for answer 1) of the two
+    restrictions along query w, in canonical frames."""
     got = _split_cache.get((m, w))
     if got is not None:
         return got
@@ -340,8 +315,7 @@ def _split_frames(m: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...], tup
     off1 = 1 << ((w & -w).bit_length() - 1)
     idx0 = tuple(pts)
     idx1 = tuple(off1 ^ p for p in pts)
-    pivots = tuple((r & -r).bit_length() - 1 for r in vrows)
-    res = (idx0, idx1, pivots)
+    res = (idx0, idx1)
     _split_cache[(m, w)] = res
     return res
 
@@ -369,7 +343,7 @@ def _dense_depth(m: int) -> tuple[np.ndarray, np.ndarray]:
     if m:
         sub = _dense_depth(m - 1)[0]
         for w in range(1, 1 << m):
-            idx0, idx1, _ = _split_frames(m, w)
+            idx0, idx1 = _split_frames(m, w)
             d = 1 + np.maximum(sub[_gather(tables, idx0)], sub[_gather(tables, idx1)])
             better = d < depth
             depth[better] = d[better]
@@ -397,7 +371,7 @@ def _dxor(m: int, table: int) -> tuple[int, int | None]:
     best = None
     best_w = None
     for w in range(1, 1 << m):
-        idx0, idx1, _ = _split_frames(m, w)
+        idx0, idx1 = _split_frames(m, w)
         d0 = _dxor(m - 1, _gather(table, idx0))[0]
         d1 = _dxor(m - 1, _gather(table, idx1))[0]
         half = d0 if d0 >= d1 else d1
@@ -415,35 +389,14 @@ def _rebuild_tree(m: int, table: int) -> ParityDecisionTree:
     d, w = _dxor(m, table)
     if d == 0:
         return ParityLeaf(table & 1)
-    idx0, idx1, pivots = _split_frames(m, w)
-    sub0 = _rebuild_tree(m - 1, _gather(table, idx0))
-    sub1 = _rebuild_tree(m - 1, _gather(table, idx1))
-    off1 = 1 << ((w & -w).bit_length() - 1)
+    f = BooleanFunction(m, table)
+    query = Gf2Matrix.from_bits([w], m)
+    # each answer's restriction, in its canonical frame, has the table
+    # _split_frames gathers
+    halves = [restrict(f, Coset(m, query, Gf2Vector(1, b))) for b in (0, 1)]
     return ParityQuery(
-        Gf2Vector(m, w),
-        _lift_tree(sub0, pivots, m, 0),
-        _lift_tree(sub1, pivots, m, off1),
+        Gf2Vector(m, w), *(_to_ambient(_rebuild_tree(m - 1, rf.local.table), rf) for rf in halves)
     )
-
-
-def _lift_tree(t: ParityDecisionTree, pivots: tuple[int, ...], m: int, off: int) -> ParityDecisionTree:
-    """Re-express child-local queries in the parent's coordinates: the
-    canonical direction basis is in RREF, so local coordinate i maps to
-    the pivot coordinate of basis row i.  ``off`` is the branch's coset
-    offset; a lifted query with odd overlap against it answers opposite
-    to its local form, so the children swap."""
-    if isinstance(t, ParityLeaf):
-        return t
-    q = t.query.bits
-    lifted = 0
-    for i, p in enumerate(pivots):
-        if (q >> i) & 1:
-            lifted |= 1 << p
-    c0t = _lift_tree(t.child0, pivots, m, off)
-    c1t = _lift_tree(t.child1, pivots, m, off)
-    if parity(off & lifted):
-        c0t, c1t = c1t, c0t
-    return ParityQuery(Gf2Vector(m, lifted), c0t, c1t)
 
 
 def parity_depth(f: BooleanFunction | RestrictedFunction) -> tuple[int, ParityDecisionTree]:
@@ -493,10 +446,10 @@ def _to_ambient(t: ParityDecisionTree, rf: RestrictedFunction) -> ParityDecision
 # basis are the one matmul sens @ W; a packing lookup turns them
 # into block sensitivities.  The matmul runs in floating point (BLAS) and
 # is exact: each code is a sum of distinct powers of two below 2^(2^m),
-# within float32's 24-bit significand up to m = 4 and float64's at m = 5.
-# Both caps below are structural, so --max-exact-n does not move them.
+# within float32's 24-bit significand up to DENSE_MAX_DIM and float64's at
+# m = 5.  DENSE_MAX_DIM and BITMAP_MAX_DIM are structural, so
+# --max-exact-n does not move them.
 
-PACKING_TABLE_MAX_DIM = 4
 BITMAP_MAX_DIM = 5
 
 
@@ -521,7 +474,7 @@ def _sorted_bases(m: int) -> tuple[tuple[int, ...], ...]:
 
 def _span_weights(m: int, spans: list[list[int]]) -> np.ndarray:
     """W with W[spans[j][s], j] = 2^s for s >= 1; row 0 stays 0."""
-    w = np.zeros((1 << m, len(spans)), dtype=np.float32 if m <= PACKING_TABLE_MAX_DIM else np.float64)
+    w = np.zeros((1 << m, len(spans)), dtype=np.float32 if m <= DENSE_MAX_DIM else np.float64)
     w[np.array(spans)[:, 1:], np.arange(len(spans))[:, None]] = 1 << np.arange(1, 1 << m)
     return w
 
@@ -555,12 +508,12 @@ def _packing_dp(m: int, codes: np.ndarray) -> np.ndarray:
     return dp[-1]
 
 
-@lru_cache(maxsize=PACKING_TABLE_MAX_DIM + 1)
+@lru_cache(maxsize=DENSE_MAX_DIM + 1)
 def _packing_table(m: int) -> np.ndarray:
     """The packing value of every bitmap over the 2^m block masks (64 KiB
     of int8 at m = 4), built on first use."""
-    if not 0 <= m <= PACKING_TABLE_MAX_DIM:
-        raise BudgetExceededError(f"packing table limited to dimension <= {PACKING_TABLE_MAX_DIM}, got {m}")
+    if not 0 <= m <= DENSE_MAX_DIM:
+        raise BudgetExceededError(f"packing table limited to dimension <= {DENSE_MAX_DIM}, got {m}")
     # in chunks of 4096 bitmaps, so the DP's temporaries stay small
     codes = np.arange(1 << (1 << m), dtype=np.uint16)
     out = np.concatenate([_packing_dp(m, c) for c in np.split(codes, max(1, codes.size >> 12))])
@@ -575,7 +528,7 @@ def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = sli
     bits = (table >> pts) & 1
     near = bits[pts[points, None] ^ pts]  # near[i, v] = f(y_i ^ v)
     codes = ((near != near[:, :1]).astype(weights.dtype) @ weights).astype(np.intp)
-    if m <= PACKING_TABLE_MAX_DIM:
+    if m <= DENSE_MAX_DIM:
         return _packing_table(m)[codes]
     # no 2^(2^m)-entry table: run the DP on the bitmaps, one point at a time
     return np.stack([_packing_dp(m, row) for row in codes])
@@ -672,15 +625,17 @@ def wbs_xor(f: BooleanFunction | RestrictedFunction) -> int:
 
 @lru_cache(maxsize=8)
 def _coset_scan(n: int) -> tuple[tuple[Coset, int, tuple[int, ...]], ...]:
-    """Every coset of {0,1}^n in parity_bs scan order (decreasing
-    dimension, enumerate_subspaces order, increasing rhs), with its
-    dimension and its members in restrict's canonical frame order."""
+    """Every coset of {0,1}^n in parity_bs scan order, the full space
+    first: decreasing dimension, direction spaces in dual_frames order,
+    increasing rhs; each with its dimension and its members in restrict's
+    canonical frame order."""
     out = []
     for dim in range(n, -1, -1):
-        for sub in enumerate_subspaces(n, dim):
-            wrows = _kernel_bits(list(sub.basis.row_bits), n)
-            for rhs in range(1 << len(wrows)):
-                coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
+        # a frame's dual rows span a dim-dimensional space, here the
+        # direction, and its direction rows the constraints
+        for _vrows, crows in dual_frames(n, dim):
+            for rhs in range(1 << len(crows)):
+                coset = Coset(n, Gf2Matrix.from_bits(crows, n), Gf2Vector(len(crows), rhs))
                 out.append((coset, dim, tuple(coset.member_bits())))
     return tuple(out)
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, fourier, restrict, rotate, shift
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, enumerate_gl, enumerate_subspaces, parity as bit_parity, sample_gl
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, enumerate_gl, parity as bit_parity, sample_gl
 
 __all__ = [
     "Family",
@@ -93,19 +93,6 @@ def _family_tables(fam: Family) -> list[int]:
 # ---------------------------------------------------------------------------
 # per-arity data shared by the predicates
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _proper_cosets(n: int) -> tuple[tuple[Coset, tuple[int, ...]], ...]:
-    """Every coset of codimension >= 1 with its members, by codimension,
-    then subspace order, then right-hand side."""
-    out = []
-    for k in range(1, n + 1):
-        for s in enumerate_subspaces(n, k):
-            for rhs in range(1 << k):
-                h = Coset(n, s.basis, Gf2Vector(k, rhs))
-                out.append((h, tuple(h.member_bits())))
-    return tuple(out)
-
 
 @lru_cache(maxsize=8)
 def _gl_images(n: int) -> tuple[tuple[Gf2Matrix, tuple[int, ...]], ...]:
@@ -192,7 +179,8 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
 def _monotone(f: BooleanFunction, seed: int) -> dict | None:
     """C+ and bs+ do not grow under restriction to a coset."""
     cx, bx = parity.c_xor(f), parity.parity_bs(f)[0]
-    for h, _ in _proper_cosets(f.arity):
+    # the scan's first coset is the full space
+    for h, _, _ in parity._coset_scan(f.arity)[1:]:
         rf = restrict(f, h)
         crf = parity.c_xor(rf)
         brf = parity.parity_bs(rf.local)[0]
@@ -245,30 +233,19 @@ def _thmnc_cost(f: BooleanFunction, seed: int) -> dict | None:
         certify.verify_essential_set(f, ess)
     except ParitydtError as e:
         return {"function": f.spec, "essential_set": str(e)}
-    d, k = ess.codim, ess.size
-    if k > (1 << d) * (3 * n) ** d:
-        return {"function": f.spec, "k": k, "k_bound": (1 << d) * (3 * n) ** d}
-    cost = comm.nondet_cost_bound(ess)
-    for xb in range(1 << n):
-        for yb in range(1 << n):
-            tr = comm.nondet_protocol(f, ess, Gf2Vector(n, xb), Gf2Vector(n, yb))
-            want = f.value_at(xb ^ yb)
-            if tr.output != want:
-                return {"function": f.spec, "x": xb, "y": yb,
-                        "output": tr.output, "expected": want}
-            if tr.output == 1 and tr.total_bits != cost:
-                return {"function": f.spec, "x": xb, "y": yb,
-                        "bits": tr.total_bits, "cost": cost}
-    return None
+    k_bound = comm.essential_size_bound(n, ess.codim)
+    if ess.size > k_bound:
+        return {"function": f.spec, "k": ess.size, "k_bound": k_bound}
+    bad = comm.nondet_violation(f, ess)
+    return None if bad is None else {"function": f.spec, **bad}
 
 
 def _lemma_exp(f: BooleanFunction, seed: int) -> dict | None:
     """Wherever f is linear on a coset, C(f) and D(f) are at least tau."""
     n, t = f.arity, f.table
     cf, df = classical.c(f), classical.decision_depth(f)[0]
-    full = (Coset.full_space(n), tuple(range(1 << n)))
     first = True
-    for h, members in (full, *_proper_cosets(n)):
+    for h, _, members in parity._coset_scan(n):
         for s in range(1 << n):
             if any(((t >> x) & 1) != bit_parity(x & s) for x in members):
                 continue

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from paritydt.boolfn import BooleanFunction, fourier, parse_function_spec
-from paritydt.certify import essential_certificate_set
+from paritydt.certify import EssentialSet, essential_certificate_set
 from paritydt.comm import (
     XorFunction,
     conjecture_report,
+    essential_size_bound,
     nondet_cost_bound,
     nondet_protocol,
+    nondet_violation,
     simulate_det_protocol,
     xor_matrix_rank,
 )
 from paritydt.errors import BudgetExceededError, DimensionError
-from paritydt.gf2 import Gf2Vector
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector
 from paritydt.parity import parity_depth
 
 
@@ -167,6 +169,19 @@ def test_nondet_sweep_small():
                     assert tr.output == f.value_at(x ^ y)
                     if tr.output == 1:
                         assert tr.total_bits == bound
+            assert nondet_violation(f, ess) is None
+            assert ess.size <= essential_size_bound(n, ess.codim)
+
+
+def test_nondet_violation_reports_first_bad_pair():
+    x1 = Coset(2, Gf2Matrix.from_bits([0b01], 2), Gf2Vector(1, 1))
+    # x1 = 1 also accepts the 0-inputs of and2, first at x = 00, y = 10
+    and2 = BooleanFunction(2, 0b1000)
+    assert nondet_violation(and2, EssentialSet(1, (x1,))) == {"x": 0, "y": 1, "output": 1, "expected": 0}
+    # a set that claims codimension 2 costs 3 bits but sends 2
+    dictator = BooleanFunction(2, 0b1010)
+    assert nondet_violation(dictator, EssentialSet(2, (x1,))) == {"x": 0, "y": 1, "bits": 2, "cost": 3}
+    assert essential_size_bound(3, 2) == 4 * 81
 
 
 def test_transcript_jsonable():

@@ -10,6 +10,8 @@ from paritydt.gf2 import (
     Gf2Matrix,
     Gf2Vector,
     Subspace,
+    _kernel_bits,
+    dual_frames,
     enumerate_gl,
     enumerate_subspaces,
     gl_order,
@@ -200,6 +202,45 @@ def test_enumerate_subspaces_complete(n, d):
     assert len({s.basis for s in subs}) == len(subs)
     for s in subs:
         assert s.dim == d
+
+
+def reference_enumerate_subspaces(n, d):
+    """The Subspace-per-frame enumeration dual_frames replaced: pivot
+    patterns in lexicographic order, then one binary counter over all
+    free entries, row by row."""
+    for pivots in itertools.combinations(range(n), d):
+        pivset = set(pivots)
+        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivset]
+        for assign in range(1 << len(free)):
+            rows = [1 << p for p in pivots]
+            for t, (i, j) in enumerate(free):
+                if (assign >> t) & 1:
+                    rows[i] |= 1 << j
+            yield Subspace(n, Gf2Matrix.from_bits(rows, n))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_dual_frames_match_subspace_construction(m):
+    for k in range(m + 1):
+        ref = [(s.basis.row_bits, s.orthogonal().basis.row_bits) for s in reference_enumerate_subspaces(m, k)]
+        assert list(dual_frames(m, k)) == ref, (m, k)
+        assert [s.basis.row_bits for s in enumerate_subspaces(m, k)] == [w for w, _ in ref]
+
+
+def test_dual_frames_cached_up_to_six_then_streamed():
+    assert dual_frames(6, 3) is dual_frames(6, 3)
+    frames = dual_frames(7, 6)
+    assert not isinstance(frames, tuple)
+    w, v = next(iter(frames))
+    assert w == (0b1, 0b10, 0b100, 0b1000, 0b10000, 0b100000) and v == (0b1000000,)
+    assert v == tuple(_kernel_bits(w, 7))
+
+
+def test_enumerate_subspaces_refuses_before_yielding():
+    for gen in (enumerate_subspaces(13, 1), dual_frames(13, 1)):
+        with pytest.raises(BudgetExceededError, match="n <= 12, got 13"):
+            next(iter(gen))
+    assert next(enumerate_subspaces(12, 0)).dim == 0
 
 
 def test_gl_order_values():

@@ -291,7 +291,7 @@ def reference_dxor(m, table):
     best = None
     best_w = None
     for w in range(1, 1 << m):
-        idx0, idx1, _ = parity_mod._split_frames(m, w)
+        idx0, idx1 = parity_mod._split_frames(m, w)
         d0 = reference_dxor(m - 1, parity_mod._gather(table, idx0))[0]
         d1 = reference_dxor(m - 1, parity_mod._gather(table, idx1))[0]
         d = 1 + (d0 if d0 >= d1 else d1)
@@ -303,17 +303,32 @@ def reference_dxor(m, table):
     return best, best_w
 
 
+def reference_lift(t, pivots, m, off):
+    """The pivot lift that RestrictedFunction.lift_form replaced in tree
+    rebuilding: local coordinate i maps to the pivot coordinate of the
+    i-th canonical direction row, and a lifted query with odd overlap
+    against the branch offset swaps its children."""
+    if isinstance(t, ParityLeaf):
+        return t
+    lifted = sum(1 << p for i, p in enumerate(pivots) if (t.query.bits >> i) & 1)
+    c0t, c1t = reference_lift(t.child0, pivots, m, off), reference_lift(t.child1, pivots, m, off)
+    if parity(off & lifted):
+        c0t, c1t = c1t, c0t
+    return ParityQuery(Gf2Vector(m, lifted), c0t, c1t)
+
+
 def reference_tree(m, table):
     """The optimal tree along reference_dxor's queries."""
     d, w = reference_dxor(m, table)
     if d == 0:
         return ParityLeaf(table & 1)
-    idx0, idx1, pivots = parity_mod._split_frames(m, w)
+    idx0, idx1 = parity_mod._split_frames(m, w)
+    pivots = tuple((r & -r).bit_length() - 1 for r in _kernel_bits([w], m))
     off1 = 1 << ((w & -w).bit_length() - 1)
     return ParityQuery(
         Gf2Vector(m, w),
-        parity_mod._lift_tree(reference_tree(m - 1, parity_mod._gather(table, idx0)), pivots, m, 0),
-        parity_mod._lift_tree(reference_tree(m - 1, parity_mod._gather(table, idx1)), pivots, m, off1),
+        reference_lift(reference_tree(m - 1, parity_mod._gather(table, idx0)), pivots, m, 0),
+        reference_lift(reference_tree(m - 1, parity_mod._gather(table, idx1)), pivots, m, off1),
     )
 
 
@@ -708,6 +723,21 @@ def test_pbs_witness_matches_reference_n4_seeded():
     for t in tables:
         f = BooleanFunction(4, t)
         assert parity_bs(f) == reference_parity_bs(f), f.spec
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_coset_scan_matches_subspace_construction(n):
+    """Directions by decreasing dimension in enumerate_subspaces order,
+    constraints their orthogonal complement, right-hand sides increasing."""
+    ref = []
+    for dim in range(n, -1, -1):
+        for sub in enumerate_subspaces(n, dim):
+            wrows = _kernel_bits(list(sub.basis.row_bits), n)
+            for rhs in range(1 << len(wrows)):
+                coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
+                ref.append((coset, dim, tuple(coset.member_bits())))
+    assert parity_mod._coset_scan(n) == tuple(ref)
+    assert ref[0][0] == Coset.full_space(n)
 
 
 def test_pbs_matches_oracle_n2():
