@@ -9,13 +9,16 @@ return deterministic witnesses (first hit in a fixed scan order).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import budget
-from .boolfn import BooleanFunction, _table_xor_translate, rotate
+from .boolfn import BooleanFunction, _table_xor_translate
 from .errors import DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
+from .gf2 import Gf2Matrix, Gf2Vector, _gl_rows, _sample_gl_rows
 
 __all__ = [
     "DecisionLeaf",
@@ -407,22 +410,86 @@ def _measure_value(measure: str, g: BooleanFunction) -> int:
     raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
 
 
-@lru_cache(maxsize=8)
-def _gl_list(n: int) -> tuple[Gf2Matrix, ...]:
-    return tuple(enumerate_gl(n))
+# GL(n) is cached as one row array up to this arity: 20,160 x 4 bytes at
+# n = 4; GL(5) has 9,999,360 matrices and is streamed
+_GL_ARRAY_MAX_DIM = 4
+
+# image entries (matrices x 2^n inputs) per gather in _rotations:
+# 4,096 matrices at n = 4, so a chunk's arrays stay a few hundred KiB
+_CHUNK_ENTRIES = 1 << 16
 
 
-def _min_over(measure: str, f: BooleanFunction, mats) -> tuple[int, Gf2Matrix]:
-    """The least measure of x -> f(Bx) over B in ``mats``, with the first B reaching it."""
+def _row_chunks(rows: Iterable[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
+    """Matrix row tuples as (k, n) arrays of at most _CHUNK_ENTRIES >> n
+    matrices each, in order."""
+    it = iter(rows)
+    size = max(1, _CHUNK_ENTRIES >> n)
+    dtype = np.min_scalar_type((1 << n) - 1)
+    while chunk := list(itertools.islice(it, size)):
+        yield np.array(chunk, dtype=dtype)
+
+
+@lru_cache(maxsize=_GL_ARRAY_MAX_DIM)
+def _gl_array(n: int) -> np.ndarray:
+    """The rows of every invertible n x n matrix, in enumerate_gl order."""
+    out = np.array(list(_gl_rows(n)), dtype=np.uint8)
+    out.setflags(write=False)
+    return out
+
+
+def _gl_chunks(n: int) -> Iterator[np.ndarray]:
+    """Every invertible n x n matrix in enumerate_gl order, in chunks:
+    sliced from a cached array up to _GL_ARRAY_MAX_DIM, streamed above."""
+    if n > _GL_ARRAY_MAX_DIM:
+        yield from _row_chunks(_gl_rows(n), n)
+        return
+    rows = _gl_array(n)
+    size = max(1, _CHUNK_ENTRIES >> n)
+    for i in range(0, len(rows), size):
+        yield rows[i : i + size]
+
+
+def _rotations(
+    f: BooleanFunction, chunks: Iterable[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[int], np.ndarray]]:
+    """Per chunk of matrices B: (rows, img, tables, inverse), where
+    img[i, x] = B_i x and the table of x -> f(B_i x) is
+    tables[inverse[i]], each distinct table listed once."""
+    n = f.arity
+    size = 1 << n
+    raw = np.frombuffer(f.table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:size]
+    shifts = np.arange(n, dtype=np.uint8)
+    for rows in chunks:
+        # column j of B, packed: bit i is entry (i, j)
+        cols = np.bitwise_or.reduce(((rows[:, :, None] >> shifts) & 1) << shifts[:, None], axis=1)
+        img = np.zeros((len(rows), size), dtype=rows.dtype)
+        for j in range(n):
+            img[:, 1 << j : 2 << j] = img[:, : 1 << j] ^ cols[:, j : j + 1]
+        packed = np.packbits(bits[img], axis=1, bitorder="little")
+        distinct, inverse = np.unique(packed, axis=0, return_inverse=True)
+        tables = [int.from_bytes(t.tobytes(), "little") for t in distinct]
+        yield rows, img, tables, inverse.reshape(-1)
+
+
+def _min_over(measure: str, f: BooleanFunction, chunks: Iterable[np.ndarray]) -> tuple[int, Gf2Matrix]:
+    """The least measure of x -> f(Bx) over B in ``chunks``, with the first
+    B reaching it; each distinct table is measured once."""
+    n = f.arity
+    seen: dict[int, int] = {}
     best = None
     witness = None
-    for b in mats:
-        v = _measure_value(measure, rotate(f, b))
-        if best is None or v < best:
-            best, witness = v, b
+    for rows, _, tables, inverse in _rotations(f, chunks):
+        for t in tables:
+            if t not in seen:
+                seen[t] = _measure_value(measure, BooleanFunction(n, t))
+        values = np.array([seen[t] for t in tables])[inverse]
+        i = int(np.argmin(values))
+        if best is None or values[i] < best:
+            best, witness = int(values[i]), rows[i]
             if best == 0:
                 break
-    return best, witness
+    return best, Gf2Matrix.from_bits([int(r) for r in witness], n)
 
 
 def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
@@ -434,7 +501,7 @@ def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
     if measure not in _MEASURES:
         raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
     budget.require("symmetrized", n, "symmetrized limited to arity", "; use sampled_symmetrized")
-    return _min_over(measure, f, _gl_list(n))
+    return _min_over(measure, f, _gl_chunks(n))
 
 
 def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: int) -> tuple[int, Gf2Matrix]:
@@ -443,4 +510,5 @@ def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: in
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
-    return _min_over(measure, f, [Gf2Matrix.identity(n)] + sample_gl(n, samples, seed))
+    rows = itertools.chain([tuple(1 << i for i in range(n))], _sample_gl_rows(n, samples, seed))
+    return _min_over(measure, f, _row_chunks(rows, n))

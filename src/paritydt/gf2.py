@@ -554,36 +554,49 @@ def dual_frames(m: int, k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ..
     return _frame_stream(m, k)
 
 
-def enumerate_gl(n: int) -> Iterator[Gf2Matrix]:
-    """All invertible n x n matrices, row tuples in lexicographic order."""
+def _gl_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The row tuples of every invertible n x n matrix, in lexicographic
+    order: each row runs over the nonzero vectors outside the span of
+    the rows before it."""
     if not 1 <= n <= MAX_WIDTH:
         raise DimensionError(f"n {n} outside 1..{MAX_WIDTH}")
     if n > GL_ENUM_MAX:
         raise BudgetExceededError(f"full GL enumeration limited to n <= {GL_ENUM_MAX}, got {n}; use sample_gl")
     limit = 1 << n
 
-    def rec(prefix: list[int], echelon: list[int]) -> Iterator[Gf2Matrix]:
-        if len(prefix) == n:
-            yield Gf2Matrix.from_bits(prefix, n)
-            return
+    def rec(prefix: tuple[int, ...], span: list[int]) -> Iterator[tuple[int, ...]]:
+        inside = set(span)
         for v in range(1, limit):
-            red = _reduce_low(v, echelon)
-            if red:
-                ins = sorted(echelon + [red], key=lambda r: r & -r)
-                yield from rec(prefix + [v], ins)
+            if v in inside:
+                continue
+            if len(prefix) == n - 1:
+                yield prefix + (v,)
+            else:
+                yield from rec(prefix + (v,), span + [s ^ v for s in span])
 
-    yield from rec([], [])
+    yield from rec((), [0])
+
+
+def enumerate_gl(n: int) -> Iterator[Gf2Matrix]:
+    """All invertible n x n matrices, row tuples in lexicographic order."""
+    for rows in _gl_rows(n):
+        yield Gf2Matrix.from_bits(rows, n)
+
+
+def _sample_gl_rows(n: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """The row tuples of ``count`` seeded invertible matrices (rejection
+    from uniform)."""
+    if not 1 <= n <= MAX_WIDTH:
+        raise DimensionError(f"n {n} outside 1..{MAX_WIDTH}")
+    rnd = random.Random(seed)
+    for _ in range(count):
+        while True:
+            rows = tuple(rnd.getrandbits(n) for _ in range(n))
+            if len(_rref_bits(rows, n)[0]) == n:
+                yield rows
+                break
 
 
 def sample_gl(n: int, count: int, seed: int) -> list[Gf2Matrix]:
     """Seeded sample of invertible matrices (rejection from uniform)."""
-    if not 1 <= n <= MAX_WIDTH:
-        raise DimensionError(f"n {n} outside 1..{MAX_WIDTH}")
-    rnd = random.Random(seed)
-    out = []
-    while len(out) < count:
-        rows = [rnd.getrandbits(n) for _ in range(n)]
-        red, _ = _rref_bits(rows, n)
-        if len(red) == n:
-            out.append(Gf2Matrix.from_bits(rows, n))
-    return out
+    return [Gf2Matrix.from_bits(rows, n) for rows in _sample_gl_rows(n, count, seed)]

@@ -353,6 +353,20 @@ def _dense_depth(m: int) -> tuple[np.ndarray, np.ndarray]:
     return depth, query
 
 
+def _linear_part(m: int, table: int) -> int | None:
+    """a when ``table`` is x -> <a, x> ^ c for some a and c, else None."""
+    a = 0
+    for i in range(m):
+        if ((table >> (1 << i)) ^ table) & 1:
+            a |= 1 << i
+    # the table of x -> <a, x>, doubled one coordinate at a time
+    lin = 0
+    for i in range(m):
+        half = (1 << (1 << i)) - 1
+        lin |= (lin ^ half if (a >> i) & 1 else lin) << (1 << i)
+    return a if table in (lin, ((1 << (1 << m)) - 1) ^ lin) else None
+
+
 def _dxor(m: int, table: int) -> tuple[int, int | None]:
     if m <= DENSE_MAX_DIM:
         depth, query = _dense_depth(m)
@@ -361,6 +375,11 @@ def _dxor(m: int, table: int) -> tuple[int, int | None]:
     full = (1 << (1 << m)) - 1
     if table == 0 or table == full:
         return 0, None
+    a = _linear_part(m, table)
+    if a is not None:
+        # every other query leaves both halves nonconstant, so the scan
+        # below would stop at w = a
+        return 1, a
     got = _dxor_memo.get((m, table))
     if got is not None:
         return got

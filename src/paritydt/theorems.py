@@ -15,12 +15,13 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from . import certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, fourier, restrict, rotate, shift
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, enumerate_gl, parity as bit_parity, sample_gl
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, parity as bit_parity, sample_gl
 
 __all__ = [
     "Family",
@@ -91,23 +92,6 @@ def _family_tables(fam: Family) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-arity data shared by the predicates
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _gl_images(n: int) -> tuple[tuple[Gf2Matrix, tuple[int, ...]], ...]:
-    """Every invertible B with its image table y -> B y, in enumeration order."""
-    out = []
-    for b in enumerate_gl(n):
-        rows = b.row_bits
-        img = tuple(
-            sum(((r & y).bit_count() & 1) << i for i, r in enumerate(rows)) for y in range(1 << n)
-        )
-        out.append((b, img))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
 
@@ -162,18 +146,17 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
     classical certificate size over all changes of basis."""
     n, size = f.arity, 1 << f.arity
     target = parity.cxor_profile(f)
-    best = bytearray([255]) * size
-    for b, img in _gl_images(n):
-        prof = classical.certificate_profile(rotate(f, b))
-        for y in range(size):
-            x = img[y]
-            if prof[y] < best[x]:
-                best[x] = prof[y]
-    if bytes(best) == target:
+    # the profile of x -> f(By) at y is a certificate size at x = By
+    best = np.full(size, 255, dtype=np.uint8)
+    for _, img, tables, inverse in classical._rotations(f, classical._gl_chunks(n)):
+        profiles = np.array([list(classical.certificate_profile(BooleanFunction(n, t))) for t in tables],
+                            dtype=np.uint8)
+        np.minimum.at(best, img, profiles[inverse])
+    if best.tobytes() == target:
         return None
     x = next(i for i in range(size) if best[i] != target[i])
     return {"function": f.spec, "x": Gf2Vector(n, x).to_string(),
-            "coset_search": target[x], "gl_min": best[x]}
+            "coset_search": target[x], "gl_min": int(best[x])}
 
 
 def _monotone(f: BooleanFunction, seed: int) -> dict | None:

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritydt.boolfn import BooleanFunction, parse_function_spec
+from paritydt import budget, classical
+from paritydt.boolfn import BooleanFunction, parse_function_spec, rotate
 from paritydt.classical import (
     DecisionNode,
     bs,
@@ -23,7 +25,7 @@ from paritydt.classical import (
     tree_jsonable,
 )
 from paritydt.errors import BudgetExceededError, DomainError
-from paritydt.gf2 import Gf2Vector, enumerate_gl
+from paritydt.gf2 import Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +318,91 @@ def test_sampled_symmetrized_rejects_no_samples():
     for samples in (0, -1):
         with pytest.raises(DomainError):
             sampled_symmetrized("bs", BooleanFunction(3, 150), samples, 0)
+
+
+# ---------------------------------------------------------------------------
+# the per-matrix scan that the chunked gather replaced
+# ---------------------------------------------------------------------------
+
+def reference_min_over(f, mats, memo):
+    """For each of d, c and bs: rotate f by each B in turn and keep the
+    first B with the strictly least measure; ``memo`` caches the measures
+    by table."""
+    best = {}
+    for b in mats:
+        g = rotate(f, b)
+        for m in ("d", "c", "bs"):
+            key = (m, g.arity, g.table)
+            if key not in memo:
+                memo[key] = classical._measure_value(m, g)
+            if m not in best or memo[key] < best[m][0]:
+                best[m] = (memo[key], b.row_bits)
+    return best
+
+
+def _assert_symmetrized_matches_reference(fns, memo):
+    for f in fns:
+        want = reference_min_over(f, list(enumerate_gl(f.arity)), memo)
+        for m in ("d", "c", "bs"):
+            v, b = symmetrized(m, f)
+            assert (v, b.row_bits) == want[m], (f.spec, m)
+
+
+def test_symmetrized_matches_reference_scan_n_le_3():
+    memo = {}
+    for n in (1, 2, 3):
+        _assert_symmetrized_matches_reference([BooleanFunction(n, t) for t in range(1 << (1 << n))], memo)
+
+
+def test_symmetrized_matches_reference_scan_n4():
+    zoo = [parse_function_spec(f"zoo:{name}:4") for name in ("and", "or", "parity", "dictator")]
+    rnd = random.Random(9)
+    seeded = [BooleanFunction(4, rnd.getrandbits(16)) for _ in range(3)]
+    _assert_symmetrized_matches_reference(zoo + seeded, {})
+
+
+@pytest.mark.parametrize("n,seed", [(6, 1), (7, 2)])
+def test_sampled_symmetrized_matches_reference_scan(n, seed):
+    rnd = random.Random(seed)
+    fns = [parse_function_spec(f"zoo:and:{n}"), BooleanFunction(n, rnd.getrandbits(1 << n))]
+    mats = [Gf2Matrix.identity(n)] + sample_gl(n, 12, seed)
+    memo = {}
+    for f in fns:
+        want = reference_min_over(f, mats, memo)
+        for m in ("d", "c", "bs"):
+            v, b = sampled_symmetrized(m, f, 12, seed)
+            assert (v, b.row_bits) == want[m], (f.spec, m)
+
+
+def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
+    # 7 matrices a chunk: GL(3) spans 24 chunks, the identity plus 30
+    # samples at n = 6 spans 5
+    monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << 3)
+    assert [len(rows) for rows in classical._gl_chunks(3)] == [7] * 24
+    memo = {}
+    mats = list(enumerate_gl(3))
+    late = 0
+    for t in range(256):
+        f = BooleanFunction(3, t)
+        want = reference_min_over(f, mats, memo)
+        for m in ("d", "c", "bs"):
+            v, b = symmetrized(m, f)
+            assert (v, b.row_bits) == want[m], (t, m)
+            late += mats.index(b) >= 7
+    assert late  # some first minimisers lie past the first chunk
+    monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << 6)
+    f = BooleanFunction(6, random.Random(4).getrandbits(64))
+    want = reference_min_over(f, [Gf2Matrix.identity(6)] + sample_gl(6, 30, 5), memo)
+    for m in ("d", "c", "bs"):
+        v, b = sampled_symmetrized(m, f, 30, 5)
+        assert (v, b.row_bits) == want[m], m
+
+
+def test_symmetrized_refusals_unchanged():
+    f5 = BooleanFunction(5, 0x1234)
+    with pytest.raises(BudgetExceededError, match="use sampled_symmetrized"):
+        symmetrized("d", f5)
+    # past the symmetrized cap, the GL enumeration cap still refuses
+    with budget.extended(6):
+        with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
+            symmetrized("d", BooleanFunction(6, 0x1234))

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paritydt import gf2
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
 from paritydt.gf2 import (
     Coset,
@@ -263,9 +265,53 @@ def test_enumerate_gl_4_count():
     assert sum(1 for _ in enumerate_gl(4)) == 20160
 
 
+def reference_enumerate_gl(n):
+    """The recursion enumerate_gl ran before it wrapped gf2._gl_rows: each
+    row reduced against an echelon basis of the rows before it."""
+    limit = 1 << n
+
+    def rec(prefix, echelon):
+        if len(prefix) == n:
+            yield Gf2Matrix.from_bits(prefix, n)
+            return
+        for v in range(1, limit):
+            red = gf2._reduce_low(v, echelon)
+            if red:
+                ins = sorted(echelon + [red], key=lambda r: r & -r)
+                yield from rec(prefix + [v], ins)
+
+    yield from rec([], [])
+
+
+def reference_sample_gl(n, count, seed):
+    """The rejection sampler sample_gl ran before it wrapped
+    gf2._sample_gl_rows."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rows = [rnd.getrandbits(n) for _ in range(n)]
+        if Gf2Matrix.from_bits(rows, n).rank() == n:
+            out.append(Gf2Matrix.from_bits(rows, n))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_gl_matches_reference_recursion(n):
+    want = [m.row_bits for m in reference_enumerate_gl(n)]
+    assert [m.row_bits for m in enumerate_gl(n)] == want
+    assert list(gf2._gl_rows(n)) == want
+
+
+@pytest.mark.parametrize("n,count,seed", [(1, 3, 0), (3, 20, 11), (6, 5, 2), (9, 4, 7)])
+def test_sample_gl_matches_reference_sampler(n, count, seed):
+    assert sample_gl(n, count, seed) == reference_sample_gl(n, count, seed)
+
+
 def test_enumerate_gl_budget():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_gl(6))
+    for gen in (enumerate_gl(6), gf2._gl_rows(6)):
+        with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
+            next(iter(gen))
+    assert next(gf2._gl_rows(5)) == (1, 2, 4, 8, 16)
 
 
 def test_sample_gl_deterministic():

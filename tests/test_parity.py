@@ -545,8 +545,8 @@ def test_dense_tables_are_read_only():
 
 
 def test_depth_above_dense_tables_matches_scalar_search():
-    # from dimension 5 the search runs on, with no affine shortcut: an
-    # affine table still stops at its one depth-1 query
+    # from dimension 5 the search runs on; an affine table answers its
+    # one depth-1 query before the scan, which would stop there too
     rnd = random.Random(5)
     cases = [(5, rnd.getrandbits(32)) for _ in range(12)]
     for spec in ("zoo:parity:5", "zoo:dictator:5", "zoo:and:5", "anf:5:x1*x2+x3",
@@ -556,6 +556,30 @@ def test_depth_above_dense_tables_matches_scalar_search():
     for m, t in cases:
         assert parity_mod._dxor(m, t) == reference_dxor(m, t), (m, t)
         assert pdt_jsonable(parity_depth(BooleanFunction(m, t))[1]) == pdt_jsonable(reference_tree(m, t))
+
+
+def test_affine_tables_skip_the_query_scan():
+    # parity:8 is answered before any restriction is searched, so the
+    # memo gains no 7-dimensional key
+    before = set(parity_mod._dxor_memo)
+    assert parity_depth(parse_function_spec("zoo:parity:8"))[0] == 1
+    assert not [key for key in set(parity_mod._dxor_memo) - before if key[0] == 7]
+    for m in range(5, 9):
+        for spec in (f"zoo:parity:{m}", f"anf:{m}:x2+x5+1", f"anf:{m}:x1+x{m}", f"anf:{m}:x{m - 2}",
+                     f"anf:{m}:x1*x2+x3"):
+            f = parse_function_spec(spec)
+            assert parity_mod._dxor(m, f.table) == reference_dxor(m, f.table), spec
+            assert pdt_jsonable(parity_depth(f)[1]) == pdt_jsonable(reference_tree(m, f.table)), spec
+
+
+def test_linear_part_matches_reference_parity_tables():
+    full = (1 << 32) - 1
+    for a in range(1, 32):
+        pt = reference_parity_table(5, a)
+        assert parity_mod._linear_part(5, pt) == parity_mod._linear_part(5, full ^ pt) == a
+    for t in range(1 << 16):
+        assert (parity_mod._linear_part(4, t) is not None) == (reference_affine_query(4, t) is not None
+                                                            or t in (0, 0xFFFF))
 
 
 # ---------------------------------------------------------------------------

@@ -33,3 +33,10 @@ def test_exh4_thm1_single_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] == 65536
+
+
+def test_measure_caps_single_run_is_correct():
+    result = single_run("measure-caps")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] == 10
