@@ -410,10 +410,6 @@ def _measure_value(measure: str, g: BooleanFunction) -> int:
     raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
 
 
-# GL(n) is cached as one row array up to this arity: 20,160 x 4 bytes at
-# n = 4; GL(5) has 9,999,360 matrices and is streamed
-_GL_ARRAY_MAX_DIM = 4
-
 # image entries (matrices x 2^n inputs) per gather in _rotations:
 # 4,096 matrices at n = 4, so a chunk's arrays stay a few hundred KiB
 _CHUNK_ENTRIES = 1 << 16
@@ -429,24 +425,9 @@ def _row_chunks(rows: Iterable[tuple[int, ...]], n: int) -> Iterator[np.ndarray]
         yield np.array(chunk, dtype=dtype)
 
 
-@lru_cache(maxsize=_GL_ARRAY_MAX_DIM)
-def _gl_array(n: int) -> np.ndarray:
-    """The rows of every invertible n x n matrix, in enumerate_gl order."""
-    out = np.array(list(_gl_rows(n)), dtype=np.uint8)
-    out.setflags(write=False)
-    return out
-
-
 def _gl_chunks(n: int) -> Iterator[np.ndarray]:
-    """Every invertible n x n matrix in enumerate_gl order, in chunks:
-    sliced from a cached array up to _GL_ARRAY_MAX_DIM, streamed above."""
-    if n > _GL_ARRAY_MAX_DIM:
-        yield from _row_chunks(_gl_rows(n), n)
-        return
-    rows = _gl_array(n)
-    size = max(1, _CHUNK_ENTRIES >> n)
-    for i in range(0, len(rows), size):
-        yield rows[i : i + size]
+    """Every invertible n x n matrix in enumerate_gl order, in chunks."""
+    return _row_chunks(_gl_rows(n), n)
 
 
 def _rotations(

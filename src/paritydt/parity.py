@@ -375,14 +375,14 @@ def _dxor(m: int, table: int) -> tuple[int, int | None]:
     full = (1 << (1 << m)) - 1
     if table == 0 or table == full:
         return 0, None
+    got = _dxor_memo.get((m, table))
+    if got is not None:
+        return got
     a = _linear_part(m, table)
     if a is not None:
         # every other query leaves both halves nonconstant, so the scan
         # below would stop at w = a
         return 1, a
-    got = _dxor_memo.get((m, table))
-    if got is not None:
-        return got
     # a nonconstant table needs one query, and no restriction is deeper
     # than the table: the halves' depths bound it for free, where a
     # certificate bound would cost a profile scan
