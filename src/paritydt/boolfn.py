@@ -187,6 +187,12 @@ def _low_mask(n: int, b: int) -> int:
     return out
 
 
+def _table_bits(n: int, t: int) -> np.ndarray:
+    """The 2^n bits of table t as a uint8 array, bit x at index x."""
+    raw = np.frombuffer(t.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[: 1 << n]
+
+
 def _table_xor_translate(t: int, n: int, c: int) -> int:
     """Table of x -> f(x ^ c), from the table of f."""
     for b in range(n):
@@ -301,9 +307,7 @@ def fourier(f: BooleanFunction) -> FourierSpectrum:
     """Walsh-Hadamard transform of the 0/1-valued truth table, exact in int64
     (|numerator| <= 2^n <= 2^24)."""
     n = f.arity
-    nbytes = max(1, (1 << n) // 8)
-    raw = np.frombuffer(f.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-    arr = np.unpackbits(raw, bitorder="little")[: 1 << n].astype(np.int64)
+    arr = _table_bits(n, f.table).astype(np.int64)
     for b in range(n):
         arr = arr.reshape(-1, 2, 1 << b)
         top = arr[:, 0, :] + arr[:, 1, :]

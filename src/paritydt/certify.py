@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import budget
 from .boolfn import BooleanFunction, restrict
 from .errors import DimensionError, DomainError
-from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, _span_order, dual_frames, parity
-from .parity import ParityCertificate, c1_xor, parity_certificate
+from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, parity
+from .parity import ParityCertificate, _coset_classes, c1_xor, parity_certificate
 
 __all__ = [
     "ParityOracle",
@@ -73,23 +75,20 @@ def _min_one_certificate(rf) -> tuple[tuple[int, ...], list[int]] | None:
     constantly 1: (dual basis rows, rhs bits), or None if no 1-input.
 
     Scan order: codimension ascending, canonical dual subspaces, rhs
-    ascending; the first hit is the deterministic choice.
+    ascending; the first hit is the deterministic choice.  A coset's
+    class key under its dual rows is its rhs, so the first class whose
+    1-count is its size, frame-major, is that hit.
     """
     m = rf.local.arity
     table = rf.local.table
     if table == 0:
         return None
     for k in range(m + 1):
-        for wrows, vrows in dual_frames(m, k):
-            span = _span_order(list(vrows))
-            for rhs in range(1 << k):
-                # offset: pivot coordinates of the dual rows carry the rhs
-                off = 0
-                for i, w in enumerate(wrows):
-                    if (rhs >> i) & 1:
-                        off |= w & -w
-                if all((table >> (off ^ v)) & 1 for v in span):
-                    return wrows, [(rhs >> i) & 1 for i in range(k)]
+        for rows, _key, count in _coset_classes(m, table, k):
+            full = (count == 1 << (m - k)).ravel()
+            if full.any():
+                i, rhs = divmod(int(np.argmax(full)), 1 << k)
+                return tuple(int(w) for w in rows[i]), [(rhs >> j) & 1 for j in range(k)]
     return None
 
 

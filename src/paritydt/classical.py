@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import budget
-from .boolfn import BooleanFunction, _table_xor_translate
+from .boolfn import BooleanFunction, _table_bits, _table_xor_translate
 from .errors import DimensionError, DomainError
 from .gf2 import Gf2Matrix, Gf2Vector, _gl_rows, _sample_gl_rows
 
@@ -415,14 +415,36 @@ def _measure_value(measure: str, g: BooleanFunction) -> int:
 _CHUNK_ENTRIES = 1 << 16
 
 
+def _chunk_size(n: int) -> int:
+    """Matrices per chunk: their images of the 2^n inputs fill at most
+    _CHUNK_ENTRIES entries."""
+    return max(1, _CHUNK_ENTRIES >> n)
+
+
 def _row_chunks(rows: Iterable[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
-    """Matrix row tuples as (k, n) arrays of at most _CHUNK_ENTRIES >> n
-    matrices each, in order."""
+    """Matrix row tuples as (k, n) arrays of _chunk_size(n) matrices
+    each (the last may be short), in order."""
     it = iter(rows)
-    size = max(1, _CHUNK_ENTRIES >> n)
+    size = _chunk_size(n)
     dtype = np.min_scalar_type((1 << n) - 1)
     while chunk := list(itertools.islice(it, size)):
         yield np.array(chunk, dtype=dtype)
+
+
+def _images(rows: np.ndarray, n: int) -> np.ndarray:
+    """img[i, x] = B_i x, packed, for the k x n matrices B_i whose rows
+    are ``rows[i]``; the inputs with top bit j are those below 2^j plus
+    column j, so each column doubles the filled prefix."""
+    # column j of B, packed: bit i is entry (i, j)
+    cols = np.bitwise_or.reduce(
+        ((rows[:, :, None] >> np.arange(n, dtype=np.uint8)) & 1)
+        << np.arange(rows.shape[1], dtype=np.uint8)[:, None],
+        axis=1,
+    )
+    img = np.zeros((len(rows), 1 << n), dtype=rows.dtype)
+    for j in range(n):
+        img[:, 1 << j : 2 << j] = img[:, : 1 << j] ^ cols[:, j : j + 1]
+    return img
 
 
 def _gl_chunks(n: int) -> Iterator[np.ndarray]:
@@ -436,17 +458,9 @@ def _rotations(
     """Per chunk of matrices B: (rows, img, tables, inverse), where
     img[i, x] = B_i x and the table of x -> f(B_i x) is
     tables[inverse[i]], each distinct table listed once."""
-    n = f.arity
-    size = 1 << n
-    raw = np.frombuffer(f.table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:size]
-    shifts = np.arange(n, dtype=np.uint8)
+    bits = _table_bits(f.arity, f.table)
     for rows in chunks:
-        # column j of B, packed: bit i is entry (i, j)
-        cols = np.bitwise_or.reduce(((rows[:, :, None] >> shifts) & 1) << shifts[:, None], axis=1)
-        img = np.zeros((len(rows), size), dtype=rows.dtype)
-        for j in range(n):
-            img[:, 1 << j : 2 << j] = img[:, : 1 << j] ^ cols[:, j : j + 1]
+        img = _images(rows, f.arity)
         packed = np.packbits(bits[img], axis=1, bitorder="little")
         distinct, inverse = np.unique(packed, axis=0, return_inverse=True)
         tables = [int.from_bytes(t.tobytes(), "little") for t in distinct]

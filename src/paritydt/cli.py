@@ -15,10 +15,12 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, budget, certify, classical, comm, construct, parity
-from .boolfn import BooleanFunction, fourier, parse_function_spec
+from .boolfn import BooleanFunction, _table_bits, fourier, parse_function_spec
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Gf2Vector, parity as bit_parity
+from .gf2 import Gf2Vector
 from .parity import MeasureValue
 from .theorems import THEOREM_IDS, Family, VerificationResult, run_verification_suite
 
@@ -173,24 +175,46 @@ def _construct_command(ns: argparse.Namespace) -> tuple[int, dict]:
     return code, {"results": body}
 
 
+def _parities(n: int) -> np.ndarray:
+    """The parity of every n-bit value, as a uint8 lookup table."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        out[1 << b : 2 << b] = out[: 1 << b] ^ 1
+    return out
+
+
+def _tree_values(tree: parity.ParityDecisionTree, inputs: np.ndarray, par: np.ndarray) -> np.ndarray:
+    """The tree's value at every input at once, ``inputs`` being
+    0..2^n-1: each query splits the inputs that reach it by a parity
+    lookup of x & query."""
+    out = np.empty(len(inputs), dtype=np.uint8)
+    todo = [(tree, inputs)]
+    while todo:
+        node, pts = todo.pop()
+        if isinstance(node, parity.ParityLeaf):
+            out[pts] = node.value
+        else:
+            ans = par[pts & node.query.bits].astype(bool)
+            todo += [(node.child0, pts[~ans]), (node.child1, pts[ans])]
+    return out
+
+
 def _gap_instance_checks(inst: construct.GapInstance) -> dict:
     n = inst.n
     checks: dict[str, object] = {}
     checks["depth"] = parity.pdt_depth(inst.tree) == inst.k + 4
-    size = 1 << n
-    agree = all(parity.pdt_eval(inst.tree, x) == inst.f.value_at(x) for x in range(size))
-    checks["tree_table_agree"] = agree
-    seen = 0
-    linear = True
-    disjoint = True
+    bits = _table_bits(n, inst.f.table)
+    par = _parities(n)
+    inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    checks["tree_table_agree"] = bool(np.array_equal(_tree_values(inst.tree, inputs, par), bits))
+    seen = np.zeros(1 << n, dtype=bool)
+    disjoint = linear = True
     for leaf in inst.leaves:
-        for xb in leaf.coset.member_bits():
-            if (seen >> xb) & 1:
-                disjoint = False
-            seen |= 1 << xb
-            if inst.f.value_at(xb) != bit_parity(xb & leaf.query.bits):
-                linear = False
-    checks["leaves_partition"] = disjoint and seen == (1 << size) - 1
+        pts = np.array(leaf.coset.member_bits(), dtype=inputs.dtype)
+        disjoint = disjoint and not seen[pts].any()
+        seen[pts] = True
+        linear = linear and np.array_equal(bits[pts], par[pts & leaf.query.bits])
+    checks["leaves_partition"] = disjoint and bool(seen.all())
     checks["linear_on_leaves"] = linear
     if inst.k == 3:
         taus = [construct.tau(leaf.coset.constraints, leaf.query) for leaf in inst.leaves]

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, DimensionError, DomainError
 
@@ -529,29 +528,12 @@ def enumerate_subspaces(n: int, dim: int) -> Iterator[Subspace]:
         yield Subspace(n, Gf2Matrix.from_bits(rows, n))
 
 
-# the frames of every dimension up to this one are kept, one tuple per
-# (m, k): 28 tuples, with 2,825 frames at m = 6
-FRAME_CACHE_MAX_DIM = 6
-
-
-@lru_cache(maxsize=32)
-def _frame_table(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return tuple(_frame_stream(m, k))
-
-
-def _frame_stream(m: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for wrows in _subspace_rows(m, k):
-        yield wrows, tuple(_kernel_bits(wrows, m))
-
-
-def dual_frames(m: int, k: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+def dual_frames(m: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(dual basis rows, direction basis rows) of every codimension-k
     subspace of {0,1}^m, the dual spaces in _subspace_rows order, so
-    scans in this order are canonical; cached for m <= FRAME_CACHE_MAX_DIM,
-    streamed above."""
-    if m <= FRAME_CACHE_MAX_DIM:
-        return _frame_table(m, k)
-    return _frame_stream(m, k)
+    scans in this order are canonical."""
+    for wrows in _subspace_rows(m, k):
+        yield wrows, tuple(_kernel_bits(wrows, m))
 
 
 def _gl_rows(n: int) -> Iterator[tuple[int, ...]]:

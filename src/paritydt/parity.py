@@ -10,7 +10,7 @@ enumeration order within, so witnesses are reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,12 +20,13 @@ from . import budget
 from .boolfn import (
     BooleanFunction,
     RestrictedFunction,
+    _table_bits,
     _table_xor_translate,
     as_restricted,
     local_point,
     restrict,
 )
-from .classical import _aggregate
+from .classical import _aggregate, _chunk_size, _images, _row_chunks
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
@@ -33,9 +34,9 @@ from .gf2 import (
     Gf2Vector,
     _kernel_bits,
     _reduce_low,
-    _rref_bits,
     _solve_bits,
     _span_order,
+    _subspace_rows,
     dual_frames,
     parity,
     sample_gl,
@@ -181,12 +182,54 @@ DENSE_MAX_DIM = 4
 _profile_cache: dict[tuple[int, int], bytes] = {}
 
 
+# the dual bases and class keys of every frame up to this dimension are
+# kept, one pair of read-only arrays per (m, k): 28 pairs, with 2,825
+# frames and 180 KiB of keys at m = 6; larger dimensions are streamed
+FRAME_CACHE_MAX_DIM = 6
+
+
+@lru_cache(maxsize=32)
+def _frame_keys(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.array(list(_subspace_rows(m, k)), dtype=np.uint8)
+    key = _images(rows, m)
+    rows.setflags(write=False)
+    key.setflags(write=False)
+    return rows, key
+
+
+def _frame_chunks(m: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(dual bases W, keys W y) of every codimension-k frame, in
+    _subspace_rows order, _chunk_size(m) frames at a time."""
+    if m > FRAME_CACHE_MAX_DIM:
+        for rows in _row_chunks(_subspace_rows(m, k), m):
+            yield rows, _images(rows, m)
+        return
+    rows, key = _frame_keys(m, k)
+    size = _chunk_size(m)
+    for start in range(0, len(rows), size):
+        yield rows[start:start + size], key[start:start + size]
+
+
+def _coset_classes(m: int, table: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every codimension-k frame's cosets with their 1-input counts, per
+    chunk of dual bases W (rows) in _subspace_rows order: (rows, key,
+    count), where key[i, y] = W_i y names y's coset of ker W_i (bit j is
+    <w_j, y>) and count[i, c] is the number of 1-inputs in class c.  A
+    class is constant when its count is 0 or 2^(m-k); no direction basis
+    is built."""
+    ones = np.flatnonzero(_table_bits(m, table))
+    for rows, key in _frame_chunks(m, k):
+        cls = key[:, ones] + (np.arange(len(rows))[:, None] << k)
+        count = np.bincount(cls.ravel(), minlength=len(rows) << k).reshape(len(rows), 1 << k)
+        yield rows, key, count
+
+
 def _cxor_profile(m: int, table: int) -> bytes:
     """Smallest certifying codimension for every local input at once.
 
-    For each direction space V (scanned by decreasing dimension), mark
-    the inputs whose V-coset is constant; the first k that covers an
-    input is its certificate size.
+    For each codimension k (increasing) and each frame, mark the inputs
+    whose coset is constant; the first k that covers an input is its
+    certificate size, and the point cosets at k = m cover the rest.
     """
     if m <= DENSE_MAX_DIM:
         return _dense_profile(m)[table].tobytes()
@@ -194,30 +237,19 @@ def _cxor_profile(m: int, table: int) -> bytes:
     if cached is not None:
         return cached
     size = 1 << m
-    full = (1 << size) - 1
-    out = bytearray(size)
-    remaining = full
-    if table == 0 or table == full:
-        _profile_cache[(m, table)] = res = bytes(size)
-        return res
-    for k in range(m + 1):
-        for _wrows, vrows in dual_frames(m, k):
-            or_t = and_t = table
-            for v in vrows:
-                or_t |= _table_xor_translate(or_t, m, v)
-                and_t &= _table_xor_translate(and_t, m, v)
-            eq = full & ~(or_t ^ and_t)
-            new = eq & remaining
-            while new:
-                low = new & -new
-                out[low.bit_length() - 1] = k
-                new ^= low
-            remaining &= ~eq
-            if not remaining:
+    out = np.full(size, m, dtype=np.uint8)
+    remaining = np.ones(size, dtype=bool)
+    for k in range(m):
+        for _rows, key, count in _coset_classes(m, table, k):
+            const = (count == 0) | (count == size >> k)
+            cover = np.take_along_axis(const, key, axis=1).any(axis=0)
+            out[cover & remaining] = k
+            remaining &= ~cover
+            if not remaining.any():
                 break
-        if not remaining:
+        if not remaining.any():
             break
-    _profile_cache[(m, table)] = res = bytes(out)
+    _profile_cache[(m, table)] = res = out.tobytes()
     return res
 
 
@@ -227,14 +259,15 @@ def _dense_profile(m: int) -> np.ndarray:
     table (1 MiB at m = 4): the same scan, run on many tables at once,
     with each direction space's constancy mask ORed into one cover."""
     out = np.zeros((1 << (1 << m), 1 << m), dtype=np.uint8)
+    # every point coset is constant, so codimension m covers what is left
+    frames = [tuple(dual_frames(m, k)) for k in range(m)]
     # in chunks of 4096 tables, so the temporaries stay small
     for start in range(0, len(out), 4096):
         rows = out[start:start + 4096]
         tables = np.arange(start, start + len(rows), dtype=np.uint16)
         cover = np.zeros_like(tables)
-        # every point coset is constant, so codimension m covers what is left
         for k in range(m):
-            for _wrows, vrows in dual_frames(m, k):
+            for _wrows, vrows in frames[k]:
                 or_t, and_t = tables.copy(), tables.copy()
                 for v in vrows:
                     or_t |= _table_xor_translate(or_t, m, v)
@@ -251,25 +284,29 @@ def parity_certificate(
 ) -> tuple[int, ParityCertificate]:
     """Smallest-codimension coset through x on which f is constant.
 
-    Scans codimension 0, 1, ... over canonical dual subspaces; the
-    witness is the first success, expressed as an ambient coset whose
-    codimension equals the certificate size.
+    The size is the profile's; the witness is the first frame of that
+    codimension, in canonical dual subspace order, whose coset through x
+    is constant, expressed as an ambient coset whose codimension equals
+    the certificate size.
     """
     rf = _localize(f)
     m = rf.local.arity
     budget.require("parity_certificate", rf.ambient.ncols, "parity_certificate limited to ambient arity")
     y = local_point(rf, x)
     table = rf.local.table
-    want = (table >> y) & 1
-    for k in range(m + 1):
-        for wrows, vrows in dual_frames(m, k):
-            if all(((table >> (y ^ v)) & 1) == want for v in _span_order(list(vrows))):
-                # the lifted coset passes through x, so x fixes each rhs
-                rows = [rf.lift_form(w)[0] for w in wrows]
-                coset = _solve_bits(rows, [parity(c & x.bits) for c in rows], rf.ambient.ncols)
-                assert coset is not None and coset.codim == k, "lifted constraints stay independent"
-                return k, ParityCertificate(coset, want)
-    raise AssertionError("unreachable: the point coset always certifies")
+    k = _cxor_profile(m, table)[y]
+    for rows, key, count in _coset_classes(m, table, k):
+        # the 1-count of y's class in each frame
+        at_y = count[np.arange(len(rows)), key[:, y]]
+        hit = (at_y == 0) | (at_y == 1 << (m - k))
+        if hit.any():
+            wrows = [int(w) for w in rows[np.argmax(hit)]]
+            # the lifted coset passes through x, so x fixes each rhs
+            cons = [rf.lift_form(w)[0] for w in wrows]
+            coset = _solve_bits(cons, [parity(c & x.bits) for c in cons], rf.ambient.ncols)
+            assert coset is not None and coset.codim == k, "lifted constraints stay independent"
+            return k, ParityCertificate(coset, (table >> y) & 1)
+    raise AssertionError("unreachable: the profile names a certifying codimension")
 
 
 def cxor_profile(f: BooleanFunction | RestrictedFunction) -> bytes:

@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
 
-from paritydt.boolfn import BooleanFunction, parse_function_spec, restrict
+from paritydt import certify, classical
+from paritydt.boolfn import BooleanFunction, as_restricted, parse_function_spec, restrict
 from paritydt.certify import (
     EssentialSet,
     ParityOracle,
@@ -11,8 +13,8 @@ from paritydt.certify import (
     verify_essential_set,
 )
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
-from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, parity, solve
-from paritydt.parity import c0_xor, c1_xor, dual_frames, parity_certificate
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, _subspace_rows, dual_frames, parity, solve
+from paritydt.parity import c0_xor, c1_xor, parity_certificate
 
 
 def run_and_check(f, xb):
@@ -83,6 +85,54 @@ def test_evaluator_random_larger():
                 check_decrease_chain(f, xb, trace)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_frames(m, k):
+    """(dual basis rows, direction span) of every codimension-k frame, in
+    dual_frames order."""
+    return tuple((wrows, _span_order(list(vrows))) for wrows, vrows in dual_frames(m, k))
+
+
+def reference_min_one_certificate(rf):
+    """The scalar scan the class-count kernel replaced: codimension
+    ascending, frames in canonical order, rhs ascending, the first coset
+    that is constantly 1."""
+    m = rf.local.arity
+    table = rf.local.table
+    if table == 0:
+        return None
+    for k in range(m + 1):
+        for wrows, span in reference_frames(m, k):
+            for rhs in range(1 << k):
+                off = 0
+                for i, w in enumerate(wrows):
+                    if (rhs >> i) & 1:
+                        off |= w & -w
+                if all((table >> (off ^ v)) & 1 for v in span):
+                    return wrows, [(rhs >> i) & 1 for i in range(k)]
+    return None
+
+
+def test_min_one_certificate_matches_scalar_scan(monkeypatch):
+    rnd = random.Random(606)
+    fns = [BooleanFunction(m, rnd.getrandbits(1 << m)) for m in (1, 2, 3, 4, 5, 5, 5, 6)]
+    fns += [parse_function_spec(s) for s in ("zoo:and:5", "zoo:or:5", "zoo:maj:5", "zoo:parity:5")]
+    fns += [BooleanFunction(5, 0), BooleanFunction(5, (1 << 32) - 1)]
+    for f in fns:
+        rf = as_restricted(f)
+        assert certify._min_one_certificate(rf) == reference_min_one_certificate(rf), f.table
+    # 7 frames a chunk: some first hits lie past the first chunk
+    late = 0
+    for f in fns:
+        m = f.arity
+        monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << m)
+        rf = as_restricted(f)
+        got = certify._min_one_certificate(rf)
+        assert got == reference_min_one_certificate(rf), f.table
+        if got is not None:
+            late += list(_subspace_rows(m, len(got[0]))).index(got[0]) >= 7
+    assert late
+
+
 def test_evaluator_or2_query_budget():
     # both hidden inputs: never more than c0*c1 = 2 queries
     f = parse_function_spec("zoo:or:2")
@@ -120,8 +170,8 @@ def reference_anchored_certificate(f, xb):
     xb: (dual basis rows, rhs bits) of the first constant coset."""
     n = f.arity
     for k in range(n + 1):
-        for wrows, vrows in dual_frames(n, k):
-            if all((f.table >> (xb ^ v)) & 1 for v in _span_order(list(vrows))):
+        for wrows, span in reference_frames(n, k):
+            if all((f.table >> (xb ^ v)) & 1 for v in span):
                 return list(wrows), [parity(w & xb) for w in wrows]
     raise AssertionError("the point coset certifies")
 

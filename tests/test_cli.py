@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from paritydt import classical, cli, gf2, parity, theorems
+from paritydt import classical, cli, construct, gf2, parity, theorems
 from paritydt.boolfn import BooleanFunction
 from paritydt.cli import run
 from paritydt.errors import ParitydtError
@@ -414,6 +414,34 @@ def test_construct_check(capsys):
                 "depth_bound", "certificate_bound"):
         assert checks[key] is True
     assert checks["d_of_f"] >= checks["max_tau"]
+
+
+def _flip_first_leaf(tree):
+    """The tree with the value of its leftmost leaf flipped."""
+    if isinstance(tree, parity.ParityLeaf):
+        return parity.ParityLeaf(1 - tree.value)
+    return dataclasses.replace(tree, child0=_flip_first_leaf(tree.child0))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gap_instance_checks_catch_faults(k):
+    inst = construct.sample_thm_exp(k, 2)
+    keys = ("tree_table_agree", "leaves_partition", "linear_on_leaves")
+
+    def verdicts(**changes):
+        checks = cli._gap_instance_checks(dataclasses.replace(inst, **changes))
+        return tuple(checks[key] for key in keys)
+
+    assert verdicts() == (True, True, True)
+    # one flipped value of f: off the tree, and no longer linear on its leaf
+    for x in (0, (1 << inst.n) - 1, 12345 % (1 << inst.n)):
+        f = BooleanFunction(inst.n, inst.f.table ^ (1 << x))
+        assert verdicts(f=f) == (False, True, False), x
+    # one flipped tree leaf: the tree disagrees, f and the leaves still fit
+    assert verdicts(tree=_flip_first_leaf(inst.tree)) == (False, True, True)
+    # a repeated or a missing leaf breaks the partition
+    assert verdicts(leaves=inst.leaves + inst.leaves[5:6])[1] is False
+    assert verdicts(leaves=inst.leaves[1:])[1] is False
 
 
 def test_construct_deterministic(capsys):

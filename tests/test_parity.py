@@ -9,13 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritydt import budget
+from paritydt import classical
 from paritydt import parity as parity_mod
-from paritydt.boolfn import BooleanFunction, _table_xor_translate, parse_function_spec, restrict
+from paritydt.boolfn import BooleanFunction, _table_xor_translate, local_point, parse_function_spec, restrict
 from paritydt.classical import _max_packing
 from paritydt.errors import BudgetExceededError, DomainError
-from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _kernel_bits, _span_order, enumerate_subspaces, parity
+from paritydt.gf2 import (
+    Coset,
+    Gf2Matrix,
+    Gf2Vector,
+    _kernel_bits,
+    _solve_bits,
+    _span_order,
+    _subspace_rows,
+    dual_frames,
+    enumerate_subspaces,
+    parity,
+)
 from paritydt.parity import (
     MeasureValue,
+    ParityCertificate,
     ParityLeaf,
     ParityQuery,
     c0_xor,
@@ -208,6 +221,13 @@ def reference_parity_bs(f):
     return best, witness
 
 
+@functools.lru_cache(maxsize=None)
+def reference_frames(m, k):
+    """dual_frames(m, k), kept: (dual basis rows, direction basis rows,
+    direction span) of every codimension-k frame, in canonical order."""
+    return tuple((wrows, vrows, _span_order(list(vrows))) for wrows, vrows in dual_frames(m, k))
+
+
 _reference_profile_memo = {}
 
 
@@ -226,7 +246,7 @@ def reference_cxor_profile(m, table):
         _reference_profile_memo[(m, table)] = res = bytes(size)
         return res
     for k in range(m + 1):
-        for _wrows, vrows in parity_mod.dual_frames(m, k):
+        for _wrows, vrows, _span in reference_frames(m, k):
             or_t = and_t = table
             for v in vrows:
                 or_t |= _table_xor_translate(or_t, m, v)
@@ -244,6 +264,26 @@ def reference_cxor_profile(m, table):
             break
     _reference_profile_memo[(m, table)] = res = bytes(out)
     return res
+
+
+
+
+def reference_parity_certificate(f, x):
+    """The scalar certificate scan the class-count kernel replaced:
+    codimension ascending, frames in canonical order, the first whose
+    coset through x is constant, lifted to ambient constraints."""
+    rf = parity_mod._localize(f)
+    m = rf.local.arity
+    y = local_point(rf, x)
+    table = rf.local.table
+    want = (table >> y) & 1
+    for k in range(m + 1):
+        for wrows, _vrows, span in reference_frames(m, k):
+            if all(((table >> (y ^ v)) & 1) == want for v in span):
+                rows = [rf.lift_form(w)[0] for w in wrows]
+                coset = _solve_bits(rows, [parity(c & x.bits) for c in rows], rf.ambient.ncols)
+                return k, ParityCertificate(coset, want)
+    raise AssertionError("the point coset always certifies")
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,6 +458,73 @@ def test_cxor_profile_matches_point_search():
     rf = restrict(f, Coset.full_space(3).with_constraint(Gf2Vector(3, 0b001), 0))
     members = rf.ambient.member_bits()
     assert list(cxor_profile(rf)) == [parity_certificate(rf, Gf2Vector(3, x))[0] for x in members]
+
+
+# ---------------------------------------------------------------------------
+# the class-count kernel above the dense tables against the scalar scans
+# ---------------------------------------------------------------------------
+
+def _assert_certificates_match_reference(f, points=None):
+    """Profile bytes and every certificate witness at ``points`` (all
+    inputs by default) equal the scalar scans'."""
+    rf = parity_mod._localize(f)
+    assert cxor_profile(f) == reference_cxor_profile(rf.local.arity, rf.local.table)
+    for xb in rf.ambient.member_bits() if points is None else points:
+        x = Gf2Vector(rf.ambient.ncols, xb)
+        k, cert = parity_certificate(f, x)
+        rk, rcert = reference_parity_certificate(f, x)
+        assert (k, cert.to_jsonable()) == (rk, rcert.to_jsonable()), (rf.local.arity, rf.local.table, xb)
+
+
+def test_certificates_match_scalar_scan_seeded():
+    rnd = random.Random(1010)
+    for m, count in ((5, 20), (6, 5), (7, 2)):
+        for _ in range(count):
+            _assert_certificates_match_reference(BooleanFunction(m, rnd.getrandbits(1 << m)))
+
+
+def test_certificates_match_scalar_scan_structured():
+    specs = [f"zoo:{name}:{m}" for name in ("and", "or", "parity", "dictator") for m in (5, 6)]
+    specs += ["zoo:maj:5", "anf:5:x1+x3+x4+1", "anf:6:x2+x5", "anf:5:x1*x2+x3"]
+    fns = [parse_function_spec(s) for s in specs]
+    fns += [BooleanFunction(m, t) for m in (5, 6) for t in (0, (1 << (1 << m)) - 1)]
+    # a 5-dimensional restriction: the witnesses lift to ambient rows
+    g = BooleanFunction(7, random.Random(3).getrandbits(128))
+    fns.append(restrict(g, Coset(7, Gf2Matrix.from_bits([0b1000011, 0b0110100], 7), Gf2Vector(2, 0b10))))
+    for f in fns:
+        _assert_certificates_match_reference(f)
+
+
+def test_frame_keys_kept_up_to_six_then_streamed():
+    rows, key = parity_mod._frame_keys(5, 2)
+    assert parity_mod._frame_keys(5, 2)[0] is rows
+    assert [tuple(int(w) for w in r) for r in rows] == list(_subspace_rows(5, 2))
+    for i in (0, 77, len(rows) - 1):
+        ws = [int(w) for w in rows[i]]
+        assert [int(c) for c in key[i]] == [sum(parity(w & y) << j for j, w in enumerate(ws)) for y in range(32)]
+    assert not rows.flags.writeable and not key.flags.writeable
+    before = parity_mod._frame_keys.cache_info().currsize
+    rows7, key7 = next(parity_mod._frame_chunks(7, 6))
+    assert parity_mod._frame_keys.cache_info().currsize == before
+    assert tuple(int(w) for w in rows7[0]) == (1, 2, 4, 8, 16, 32)
+    assert [int(c) for c in key7[0, :4]] == [0, 1, 2, 3] and int(key7[0, 64]) == 0
+
+
+def test_certificate_first_frame_past_chunk(monkeypatch):
+    # 7 frames a chunk; the profile memo starts empty, so every profile
+    # runs the kernel under the small chunks
+    monkeypatch.setattr(parity_mod, "_profile_cache", {})
+    rnd = random.Random(77)
+    late = 0
+    for m in (5, 5, 5, 5, 6):
+        monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << m)
+        f = BooleanFunction(m, rnd.getrandbits(1 << m))
+        _assert_certificates_match_reference(f)
+        for y in range(1 << m):
+            k, cert = parity_certificate(f, Gf2Vector(m, y))
+            # on the identity frame the witness rows are the frame's own
+            late += list(_subspace_rows(m, k)).index(cert.coset.constraints.row_bits) >= 7
+    assert late  # some first certifying frames lie past the first chunk
 
 
 # ---------------------------------------------------------------------------
