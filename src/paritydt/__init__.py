@@ -71,12 +71,8 @@ from .gf2 import (
     Coset,
     Gf2Matrix,
     Gf2Vector,
-    RrefResult,
-    Subspace,
     enumerate_gl,
-    enumerate_subspaces,
     gl_order,
-    rref,
     sample_gl,
     solve,
     subspace_count,

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionError, DomainError, FunctionSpecError
-from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _rref_bits, _solve_bits, _span_order, parity
+from .errors import DimensionError, DomainError, FunctionSpecError
+from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _images, _rref_bits, _solve_bits, _span_order, parity
 
 __all__ = [
     "BooleanFunction",
@@ -82,7 +82,7 @@ class BooleanFunction:
         return self.table == 0 or self.table == (1 << (1 << self.arity)) - 1
 
     def to_table_string(self) -> str:
-        return "".join(str((self.table >> i) & 1) for i in range(1 << self.arity))
+        return (_table_bits(self.arity, self.table) + ord("0")).tobytes().decode("ascii")
 
     @property
     def spec(self) -> str:
@@ -217,22 +217,9 @@ def rotate(f: BooleanFunction, a: Gf2Matrix) -> BooleanFunction:
         raise DimensionError("rotation matrix shape mismatch")
     if not a.is_invertible():
         raise DomainError("rotation matrix is singular")
-    cols = [0] * n
-    rows = a.row_bits
-    for j in range(n):
-        acc = 0
-        for i in range(n):
-            acc |= ((rows[i] >> j) & 1) << i
-        cols[j] = acc
-    images = [0] * (1 << n)
-    for x in range(1, 1 << n):
-        low = (x & -x).bit_length() - 1
-        images[x] = images[x & (x - 1)] ^ cols[low]
-    t = f.table
-    out = 0
-    for x, ax in enumerate(images):
-        out |= ((t >> ax) & 1) << x
-    return BooleanFunction(n, out)
+    img = _images(np.array([a.row_bits], dtype=np.min_scalar_type((1 << n) - 1)), n)[0]
+    packed = np.packbits(_table_bits(n, f.table)[img], bitorder="little")
+    return BooleanFunction(n, int.from_bytes(packed.tobytes(), "little"))
 
 
 def restrict(f: BooleanFunction, h: Coset) -> RestrictedFunction:

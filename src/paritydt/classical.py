@@ -18,7 +18,7 @@ import numpy as np
 from . import budget
 from .boolfn import BooleanFunction, _table_bits, _table_xor_translate
 from .errors import DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, _gl_rows, _sample_gl_rows
+from .gf2 import Gf2Matrix, Gf2Vector, _gl_rows, _images, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "DecisionLeaf",
@@ -408,43 +408,6 @@ def _measure_value(measure: str, g: BooleanFunction) -> int:
     if measure == "bs":
         return bs(g)
     raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
-
-
-# image entries (matrices x 2^n inputs) per gather in _rotations:
-# 4,096 matrices at n = 4, so a chunk's arrays stay a few hundred KiB
-_CHUNK_ENTRIES = 1 << 16
-
-
-def _chunk_size(n: int) -> int:
-    """Matrices per chunk: their images of the 2^n inputs fill at most
-    _CHUNK_ENTRIES entries."""
-    return max(1, _CHUNK_ENTRIES >> n)
-
-
-def _row_chunks(rows: Iterable[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
-    """Matrix row tuples as (k, n) arrays of _chunk_size(n) matrices
-    each (the last may be short), in order."""
-    it = iter(rows)
-    size = _chunk_size(n)
-    dtype = np.min_scalar_type((1 << n) - 1)
-    while chunk := list(itertools.islice(it, size)):
-        yield np.array(chunk, dtype=dtype)
-
-
-def _images(rows: np.ndarray, n: int) -> np.ndarray:
-    """img[i, x] = B_i x, packed, for the k x n matrices B_i whose rows
-    are ``rows[i]``; the inputs with top bit j are those below 2^j plus
-    column j, so each column doubles the filled prefix."""
-    # column j of B, packed: bit i is entry (i, j)
-    cols = np.bitwise_or.reduce(
-        ((rows[:, :, None] >> np.arange(n, dtype=np.uint8)) & 1)
-        << np.arange(rows.shape[1], dtype=np.uint8)[:, None],
-        axis=1,
-    )
-    img = np.zeros((len(rows), 1 << n), dtype=rows.dtype)
-    for j in range(n):
-        img[:, 1 << j : 2 << j] = img[:, : 1 << j] ^ cols[:, j : j + 1]
-    return img
 
 
 def _gl_chunks(n: int) -> Iterator[np.ndarray]:

@@ -16,11 +16,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boolfn import BooleanFunction
 from .classical import c as classical_c
 from .classical import decision_depth
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _rref_bits, parity
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _rref_bits, _spans, parity
 from .parity import ParityDecisionTree, ParityLeaf, ParityQuery
 
 __all__ = [
@@ -153,11 +155,12 @@ def sample_thm_exp(k: int, seed: int) -> GapInstance:
         cons = Gf2Matrix.from_bits([1 << i for i in range(m3)], n)
         rhs = Gf2Vector(m3, path)
         leaves.append(GapLeaf(t_index, Coset(n, cons, rhs), Gf2Vector(n, queries[t_index - 1])))
-    prefix_mask = (1 << m3) - 1
-    table = 0
-    for x in range(1 << n):
-        s = queries[x & prefix_mask]
-        table |= parity(x & s) << x
+    # f(x) = <x, s_t> for the node t that x's prefix reaches; par[v] is
+    # the parity of v, the span of n ones
+    par = _spans(np.ones((1, n), dtype=np.uint8))[0]
+    x = np.arange(1 << n)
+    packed = np.packbits(par[x & np.array(queries)[x & ((1 << m3) - 1)]], bitorder="little")
+    table = int.from_bytes(packed.tobytes(), "little")
     return GapInstance(k, n, seed, tree, tuple(leaves), BooleanFunction(n, table))
 
 

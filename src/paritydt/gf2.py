@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, DimensionError, DomainError
 
@@ -26,13 +28,9 @@ __all__ = [
     "MAX_WIDTH",
     "Gf2Vector",
     "Gf2Matrix",
-    "RrefResult",
     "Coset",
-    "Subspace",
     "parity",
-    "rref",
     "solve",
-    "enumerate_subspaces",
     "dual_frames",
     "enumerate_gl",
     "sample_gl",
@@ -128,6 +126,50 @@ def _span_order(rows: Sequence[int]) -> list[int]:
         low = (i & -i).bit_length() - 1
         out[i] = out[i & (i - 1)] ^ rows[low]
     return out
+
+
+# image entries (matrices x 2^n inputs) per chunk of _row_chunks: 4,096
+# matrices at n = 4, so a chunk's arrays stay a few hundred KiB
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _chunk_size(n: int) -> int:
+    """Matrices per chunk: their images of the 2^n inputs fill at most
+    _CHUNK_ENTRIES entries."""
+    return max(1, _CHUNK_ENTRIES >> n)
+
+
+def _row_chunks(rows: Iterable[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
+    """Matrix row tuples as (k, n) arrays of _chunk_size(n) matrices
+    each (the last may be short), in order."""
+    it = iter(rows)
+    size = _chunk_size(n)
+    dtype = np.min_scalar_type((1 << n) - 1)
+    while chunk := list(itertools.islice(it, size)):
+        yield np.array(chunk, dtype=dtype)
+
+
+def _spans(cols: np.ndarray) -> np.ndarray:
+    """_span_order of every row of ``cols`` at once: out[i, x] is the XOR
+    of cols[i, j] over the set bits j of x.  The entries with top bit j
+    are those below 2^j plus column j, so each column doubles the filled
+    prefix."""
+    out = np.zeros((len(cols), 1 << cols.shape[1]), dtype=cols.dtype)
+    for j in range(cols.shape[1]):
+        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ cols[:, j : j + 1]
+    return out
+
+
+def _images(rows: np.ndarray, n: int) -> np.ndarray:
+    """img[i, x] = B_i x, packed, for the matrices B_i with n columns
+    whose rows are ``rows[i]``: the span of B_i's columns."""
+    # column j of B, packed: bit i is entry (i, j)
+    cols = np.bitwise_or.reduce(
+        ((rows[:, :, None] >> np.arange(n, dtype=np.uint8)) & 1)
+        << np.arange(rows.shape[1], dtype=np.uint8)[:, None],
+        axis=1,
+    )
+    return _spans(cols)
 
 
 def _check_rref(rows: Sequence[int]) -> None:
@@ -306,67 +348,6 @@ class Gf2Matrix:
 
 
 @dataclass(frozen=True)
-class RrefResult:
-    """RREF of a matrix: zero rows dropped, pivot columns reported 1-based."""
-
-    matrix: Gf2Matrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def rref(m: Gf2Matrix) -> RrefResult:
-    """Canonical reduced row echelon form (leading 1 = lowest set bit)."""
-    red, pivots = _rref_bits(m.row_bits, m.ncols)
-    return RrefResult(
-        matrix=Gf2Matrix.from_bits(red, m.ncols),
-        rank=len(red),
-        pivots=tuple(p + 1 for p in pivots),
-    )
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace of {0,1}^ncols, held as its canonical RREF basis."""
-
-    ncols: int
-    basis: Gf2Matrix
-
-    def __post_init__(self):
-        if self.basis.ncols != self.ncols:
-            raise DimensionError("basis ncols mismatch")
-        _check_rref(self.basis.row_bits)
-
-    @classmethod
-    def from_rows(cls, row_bits: Sequence[int], ncols: int) -> "Subspace":
-        red, _ = _rref_bits(row_bits, ncols)
-        return cls(ncols, Gf2Matrix.from_bits(red, ncols))
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, Gf2Matrix.identity(n))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def contains(self, v: Gf2Vector) -> bool:
-        if v.width != self.ncols:
-            raise DimensionError("width mismatch")
-        return _reduce_low(v.bits, self.basis.row_bits) == 0
-
-    def element_bits(self) -> list[int]:
-        """All 2^dim elements, in subset-counter order over the basis."""
-        return _span_order(self.basis.row_bits)
-
-    def orthogonal(self) -> "Subspace":
-        """The dual subspace {w : <w, v> = 0 for all v here}."""
-        return Subspace(self.ncols, Gf2Matrix.from_bits(_kernel_bits(self.basis.row_bits, self.ncols), self.ncols))
-
-    def to_jsonable(self) -> dict:
-        return {"ncols": self.ncols, "basis": self.basis.to_jsonable()}
-
-
-@dataclass(frozen=True)
 class Coset:
     """The solution set {x : constraints . x = rhs}, in canonical form.
 
@@ -416,9 +397,6 @@ class Coset:
     def direction_rows(self) -> list[int]:
         """Canonical RREF basis (as ints) of the direction space."""
         return _kernel_bits(self.constraints.row_bits, self.ncols)
-
-    def direction(self) -> Subspace:
-        return Subspace(self.ncols, Gf2Matrix.from_bits(self.direction_rows(), self.ncols))
 
     def min_member_bits(self) -> int:
         # particular solution: pivot coordinates carry the rhs
@@ -519,13 +497,6 @@ def _subspace_rows(n: int, dim: int) -> Iterator[tuple[int, ...]]:
         ]
         for rows in itertools.product(*choices):
             yield rows[::-1]
-
-
-def enumerate_subspaces(n: int, dim: int) -> Iterator[Subspace]:
-    """All dim-dimensional subspaces of {0,1}^n, each exactly once, in
-    _subspace_rows order."""
-    for rows in _subspace_rows(n, dim):
-        yield Subspace(n, Gf2Matrix.from_bits(rows, n))
 
 
 def dual_frames(m: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

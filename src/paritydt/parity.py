@@ -26,20 +26,24 @@ from .boolfn import (
     local_point,
     restrict,
 )
-from .classical import _aggregate, _chunk_size, _images, _row_chunks
+from .classical import _aggregate
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
     Gf2Matrix,
     Gf2Vector,
+    _chunk_size,
+    _images,
     _kernel_bits,
     _reduce_low,
+    _row_chunks,
+    _sample_gl_rows,
     _solve_bits,
     _span_order,
+    _spans,
     _subspace_rows,
     dual_frames,
     parity,
-    sample_gl,
 )
 
 __all__ = [
@@ -528,10 +532,10 @@ def _sorted_bases(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _span_weights(m: int, spans: list[list[int]]) -> np.ndarray:
-    """W with W[spans[j][s], j] = 2^s for s >= 1; row 0 stays 0."""
+def _span_weights(m: int, spans: np.ndarray) -> np.ndarray:
+    """W with W[spans[j, s], j] = 2^s for s >= 1; row 0 stays 0."""
     w = np.zeros((1 << m, len(spans)), dtype=np.float32 if m <= DENSE_MAX_DIM else np.float64)
-    w[np.array(spans)[:, 1:], np.arange(len(spans))[:, None]] = 1 << np.arange(1, 1 << m)
+    w[spans[:, 1:], np.arange(len(spans))[:, None]] = 1 << np.arange(1, 1 << m)
     return w
 
 
@@ -540,7 +544,7 @@ def _basis_weights(m: int) -> np.ndarray:
     """Span weights of every unordered basis, columns in _sorted_bases order."""
     if m > BITMAP_MAX_DIM:
         raise BudgetExceededError(f"block bitmaps limited to dimension <= {BITMAP_MAX_DIM}, got {m}")
-    w = _span_weights(m, [_span_order(list(b)) for b in _sorted_bases(m)])
+    w = _span_weights(m, _spans(np.array(_sorted_bases(m), dtype=np.uint8)))
     w.setflags(write=False)
     return w
 
@@ -650,10 +654,11 @@ def sampled_weak_parity_bs(
         raise BudgetExceededError(f"sampled_weak_parity_bs limited to dimension <= {BITMAP_MAX_DIM}, got {m}")
     if rf.local.is_constant():
         return 0, Gf2Matrix.identity(m)
-    mats = [Gf2Matrix.identity(m)] + sample_gl(m, samples, seed)
-    weights = _span_weights(m, [_span_order(list(b.transpose().row_bits)) for b in mats])
+    rows = [tuple(1 << i for i in range(m)), *_sample_gl_rows(m, samples, seed)]
+    # the span of B's columns is B y for every y
+    weights = _span_weights(m, _images(np.array(rows, dtype=np.uint8), m))
     v, j = _weak_scan(m, rf.local.table, weights, _points(rf, x))
-    return v, mats[j]
+    return v, Gf2Matrix.from_bits(rows[j], m)
 
 
 _wbs_agg_cache: dict[tuple[int, int], int] = {}

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certify, classical, comm, construct, parity
-from .boolfn import BooleanFunction, fourier, restrict, rotate, shift
+from .boolfn import BooleanFunction, fourier, restrict, shift
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, parity as bit_parity, sample_gl
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _row_chunks, _sample_gl_rows, parity as bit_parity
 
 __all__ = [
     "Family",
@@ -184,16 +184,22 @@ def _invariance(f: BooleanFunction, seed: int) -> dict | None:
     n = f.arity
     base = _parity_measures(f)
     rnd = random.Random(f"invariance:{seed}:{n}:{f.table}")
-    transforms: list[tuple[str, object]] = [
-        ("shift", Gf2Vector(n, rnd.randrange(1 << n))) for _ in range(20)
-    ]
-    transforms += [("rotate", b) for b in sample_gl(n, 20, rnd.getrandbits(63))]
-    for kind, arg in transforms:
-        got = _parity_measures(shift(f, arg) if kind == "shift" else rotate(f, arg))
-        if got != base:
-            return {"function": f.spec, "transform": kind,
-                    "arg": arg.to_string() if kind == "shift" else arg.to_jsonable(),
-                    "base": list(base), "transformed": list(got)}
+    shifts = [Gf2Vector(n, rnd.randrange(1 << n)) for _ in range(20)]
+    rows = list(_sample_gl_rows(n, 20, rnd.getrandbits(63)))
+    transforms = [("shift", c, shift(f, c).table) for c in shifts]
+    # the rotated tables x -> f(Bx) come from one gather
+    transforms += [("rotate", b, tables[i])
+                   for chunk, _, tables, inverse in classical._rotations(f, _row_chunks(rows, n))
+                   for b, i in zip(chunk, inverse)]
+    # each distinct table is measured once, in check order
+    measured = {f.table: base}
+    for kind, arg, t in transforms:
+        if t not in measured:
+            measured[t] = _parity_measures(BooleanFunction(n, t))
+        if measured[t] != base:
+            arg = arg.to_string() if kind == "shift" else Gf2Matrix.from_bits([int(r) for r in arg], n).to_jsonable()
+            return {"function": f.spec, "transform": kind, "arg": arg,
+                    "base": list(base), "transformed": list(measured[t])}
     return None
 
 

@@ -17,8 +17,8 @@ from paritydt.classical import decision_depth
 from paritydt.gf2 import (
     Coset,
     Gf2Vector,
+    _subspace_rows,
     enumerate_gl,
-    enumerate_subspaces,
     gl_order,
     subspace_count,
 )
@@ -251,7 +251,7 @@ def test_11_group_and_subspace_counts():
                 num *= (1 << n) - (1 << i)
                 den *= (1 << k) - (1 << i)
             binom = num // den
-            cnt = sum(1 for _ in enumerate_subspaces(n, k))
+            cnt = sum(1 for _ in _subspace_rows(n, k))
             if not cnt == binom == subspace_count(n, k):
                 bad.append(f"[{n},{k}]")
     report("11 GL orders 6/168/20160 and Gaussian binomial subspace counts",

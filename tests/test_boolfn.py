@@ -176,6 +176,18 @@ def test_shift_rotate_interchange(t, c, seed):
     assert shift(rotate(f, a), cv) == rotate(shift(f, a.mul_vec(cv)), a)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rotate_pointwise_every_arity(n):
+    rnd = random.Random(n)
+    for a in sample_gl(n, 5, n):
+        f = BooleanFunction(n, rnd.getrandbits(1 << n))
+        g = rotate(f, a)
+        for x in range(1 << n):
+            assert g.value_at(x) == f.value_at(a.mul_vec(Gf2Vector(n, x)).bits)
+    f = BooleanFunction(n, rnd.getrandbits(1 << n))
+    assert rotate(f, Gf2Matrix.identity(n)) == f
+
+
 def test_rotate_rejects_singular():
     f = BooleanFunction(2, 0b0110)
     with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from paritydt import certify, classical
+from paritydt import certify, gf2
 from paritydt.boolfn import BooleanFunction, as_restricted, parse_function_spec, restrict
 from paritydt.certify import (
     EssentialSet,
@@ -124,7 +124,7 @@ def test_min_one_certificate_matches_scalar_scan(monkeypatch):
     late = 0
     for f in fns:
         m = f.arity
-        monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << m)
+        monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << m)
         rf = as_restricted(f)
         got = certify._min_one_certificate(rf)
         assert got == reference_min_one_certificate(rf), f.table

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritydt import budget, classical
+from paritydt import budget, classical, gf2
 from paritydt.boolfn import BooleanFunction, parse_function_spec, rotate
 from paritydt.classical import (
     DecisionNode,
@@ -377,7 +377,7 @@ def test_sampled_symmetrized_matches_reference_scan(n, seed):
 def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
     # 7 matrices a chunk: GL(3) spans 24 chunks, the identity plus 30
     # samples at n = 6 spans 5
-    monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << 3)
+    monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << 3)
     assert [len(rows) for rows in classical._gl_chunks(3)] == [7] * 24
     memo = {}
     mats = list(enumerate_gl(3))
@@ -390,7 +390,7 @@ def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
             assert (v, b.row_bits) == want[m], (t, m)
             late += mats.index(b) >= 7
     assert late  # some first minimisers lie past the first chunk
-    monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << 6)
+    monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << 6)
     f = BooleanFunction(6, random.Random(4).getrandbits(64))
     want = reference_min_over(f, [Gf2Matrix.identity(6)] + sample_gl(6, 30, 5), memo)
     for m in ("d", "c", "bs"):

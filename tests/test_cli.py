@@ -5,7 +5,7 @@ import random
 import pytest
 
 from paritydt import classical, cli, construct, gf2, parity, theorems
-from paritydt.boolfn import BooleanFunction
+from paritydt.boolfn import BooleanFunction, rotate, shift
 from paritydt.cli import run
 from paritydt.errors import ParitydtError
 from paritydt.gf2 import Gf2Vector
@@ -223,11 +223,11 @@ def test_sampled_wbsxor_matches_reference_n5():
 def test_sampled_wbsxor_draws_bases_once(capsys, monkeypatch):
     calls = []
 
-    def counting_sample_gl(n, count, seed):
+    def counting_sample_gl_rows(n, count, seed):
         calls.append((n, count, seed))
-        return gf2.sample_gl(n, count, seed)
+        return gf2._sample_gl_rows(n, count, seed)
 
-    monkeypatch.setattr(parity, "sample_gl", counting_sample_gl)
+    monkeypatch.setattr(parity, "_sample_gl_rows", counting_sample_gl_rows)
     argv = ["measure", "--fn", "zoo:and:5", "--measures", "wbsxor", "--sample", "7", "--seed", "3"]
     code, got = run_json(capsys, argv)
     assert code == 0 and got["results"]["wbsxor"]["exact"] is False
@@ -397,6 +397,54 @@ def test_verify_reports_violations(capsys, monkeypatch):
     r = got["results"][0]
     assert r["passed"] is False
     assert r["violations"] == [{"function": "tt:1:01", "detail": "planted"}]
+
+
+def reference_invariance(f, seed, measures):
+    """The per-transform check the one rotation gather replaced: 20 seeded
+    shifts, then rotate() by each of 20 sample_gl matrices, each measured
+    in turn; the first change is the violation."""
+    n = f.arity
+    base = measures(f)
+    rnd = random.Random(f"invariance:{seed}:{n}:{f.table}")
+    transforms = [("shift", Gf2Vector(n, rnd.randrange(1 << n))) for _ in range(20)]
+    transforms += [("rotate", b) for b in gf2.sample_gl(n, 20, rnd.getrandbits(63))]
+    for kind, arg in transforms:
+        got = measures(shift(f, arg) if kind == "shift" else rotate(f, arg))
+        if got != base:
+            return {"function": f.spec, "transform": kind,
+                    "arg": arg.to_string() if kind == "shift" else arg.to_jsonable(),
+                    "base": list(base), "transformed": list(got)}
+    return None
+
+
+def test_invariance_matches_per_transform_reference(monkeypatch):
+    rnd = random.Random(11)
+    fns = [BooleanFunction(n, rnd.getrandbits(1 << n)) for n in (2, 3, 3, 4, 4, 4)]
+    fns += [construct.zoo("and", 4), construct.zoo("parity", 3)]
+    for f in fns:
+        want = reference_invariance(f, 5, theorems._parity_measures)
+        assert want is None and theorems._invariance(f, 5) == want
+    rotated = 0
+    for f in fns:
+        # planted: the measures change off f's shifts, so only rotated
+        # tables can fail, and the first one that leaves them is reported
+        shifted = {shift(f, Gf2Vector(f.arity, c)).table for c in range(1 << f.arity)}
+
+        def planted(g):
+            return (0, 0, 0) if g.table in shifted else (1, g.table % 7, g.arity)
+
+        want = reference_invariance(f, 5, planted)
+        calls = []
+
+        def counting(g):
+            calls.append(g.table)
+            return planted(g)
+
+        monkeypatch.setattr(theorems, "_parity_measures", counting)
+        assert theorems._invariance(f, 5) == want, f.spec
+        assert len(calls) == len(set(calls))  # each distinct table once
+        rotated += want is not None and want["transform"] == "rotate"
+    assert rotated
 
 
 # ---------------------------------------------------------------------------

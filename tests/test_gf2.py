@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +12,16 @@ from paritydt.gf2 import (
     Coset,
     Gf2Matrix,
     Gf2Vector,
-    Subspace,
+    _images,
     _kernel_bits,
+    _rref_bits,
+    _span_order,
+    _spans,
+    _subspace_rows,
     dual_frames,
     enumerate_gl,
-    enumerate_subspaces,
     gl_order,
     parity,
-    rref,
     sample_gl,
     solve,
     subspace_count,
@@ -53,27 +56,29 @@ def test_vector_ops():
 
 def test_rref_example():
     m = Gf2Matrix.from_strings(["110", "011", "101"])
-    r = rref(m)
-    assert r.matrix.to_jsonable() == ["101", "011"]
-    assert r.rank == 2
-    assert r.pivots == (1, 2)
+    red, pivots = _rref_bits(m.row_bits, 3)
+    assert Gf2Matrix.from_bits(red, 3).to_jsonable() == ["101", "011"]
+    assert pivots == [0, 1]
+    # a coset's constraints must be that canonical form
+    with pytest.raises(DimensionError):
+        Coset(3, m, Gf2Vector(3, 0))
 
 
 def test_rref_identity_pivots():
-    r = rref(Gf2Matrix.identity(3))
-    assert r.pivots == (1, 2, 3)
-    assert r.rank == 3
+    red, pivots = _rref_bits(Gf2Matrix.identity(3).row_bits, 3)
+    assert pivots == [0, 1, 2]
+    assert red == [1, 2, 4]
 
 
 @given(st.integers(1, 6), st.lists(st.integers(0, 63), max_size=6))
 def test_rref_idempotent_and_span_preserving(n, rows):
     rows = [r & ((1 << n) - 1) for r in rows]
-    m = Gf2Matrix.from_bits(rows, n)
-    r1 = rref(m)
-    r2 = rref(r1.matrix)
-    assert r1.matrix == r2.matrix
-    assert brute_span(rows) == brute_span(r1.matrix.row_bits)
-    assert r1.rank == len(r1.matrix.row_bits)
+    red, pivots = _rref_bits(rows, n)
+    assert _rref_bits(red, n) == (red, pivots)
+    assert brute_span(rows) == brute_span(red)
+    # each row's leading 1 is its lowest set bit, clear in every other row
+    assert pivots == [(r & -r).bit_length() - 1 for r in red]
+    assert all((other >> p) & 1 == (i == j) for i, p in enumerate(pivots) for j, other in enumerate(red))
 
 
 def test_matrix_algebra():
@@ -99,31 +104,6 @@ def test_mul_vec_matches_dot_products(n, data):
     assert out.width == len(rows)
     for i, r in enumerate(rows):
         assert out.bit(i) == parity(r & vbits)
-
-
-def test_subspace_canonical_form():
-    s = Subspace.from_rows([0b110, 0b011, 0b101], 3)
-    assert s.dim == 2
-    assert set(s.element_bits()) == brute_span([0b110, 0b011])
-    assert s.contains(Gf2Vector(3, 0b101))
-    assert not s.contains(Gf2Vector(3, 0b001))
-    with pytest.raises(DimensionError):
-        Subspace(3, Gf2Matrix.from_bits([0b110, 0b011, 0b101], 3))
-
-
-def test_orthogonal_complement():
-    s = Subspace.from_rows([0b01], 2)
-    o = s.orthogonal()
-    assert set(o.element_bits()) == {0, 0b10}
-    for n in range(1, 5):
-        full = Subspace.full(n)
-        assert full.orthogonal().dim == 0
-    s = Subspace.from_rows([0b011, 0b100], 3)
-    o = s.orthogonal()
-    for v in s.element_bits():
-        for w in o.element_bits():
-            assert parity(v & w) == 0
-    assert s.dim + o.dim == 3
 
 
 def test_solve_and_coset_members():
@@ -199,17 +179,17 @@ def test_subspace_count_gaussian_binomials():
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(n + 1)])
 def test_enumerate_subspaces_complete(n, d):
-    subs = list(enumerate_subspaces(n, d))
+    subs = list(_subspace_rows(n, d))
     assert len(subs) == subspace_count(n, d)
-    assert len({s.basis for s in subs}) == len(subs)
-    for s in subs:
-        assert s.dim == d
+    assert len(set(subs)) == len(subs)
+    for rows in subs:
+        assert len(_rref_bits(rows, n)[0]) == d
 
 
 def reference_enumerate_subspaces(n, d):
-    """The Subspace-per-frame enumeration dual_frames replaced: pivot
-    patterns in lexicographic order, then one binary counter over all
-    free entries, row by row."""
+    """The per-frame enumeration dual_frames replaced: pivot patterns in
+    lexicographic order, then one binary counter over all free entries,
+    row by row; each subspace as its RREF basis rows."""
     for pivots in itertools.combinations(range(n), d):
         pivset = set(pivots)
         free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivset]
@@ -218,15 +198,19 @@ def reference_enumerate_subspaces(n, d):
             for t, (i, j) in enumerate(free):
                 if (assign >> t) & 1:
                     rows[i] |= 1 << j
-            yield Subspace(n, Gf2Matrix.from_bits(rows, n))
+            yield tuple(rows)
 
 
 @pytest.mark.parametrize("m", range(7))
 def test_dual_frames_match_subspace_construction(m):
     for k in range(m + 1):
-        ref = [(s.basis.row_bits, s.orthogonal().basis.row_bits) for s in reference_enumerate_subspaces(m, k)]
+        ref = [(rows, tuple(_kernel_bits(rows, m))) for rows in reference_enumerate_subspaces(m, k)]
         assert list(dual_frames(m, k)) == ref, (m, k)
-        assert [s.basis.row_bits for s in enumerate_subspaces(m, k)] == [w for w, _ in ref]
+        assert list(_subspace_rows(m, k)) == [w for w, _ in ref]
+        # the direction rows span the orthogonal complement
+        for w, v in ref:
+            assert len(w) + len(v) == m
+            assert all(parity(a & b) == 0 for a in w for b in v)
 
 
 def test_dual_frames_streamed():
@@ -240,10 +224,29 @@ def test_dual_frames_streamed():
 
 
 def test_enumerate_subspaces_refuses_before_yielding():
-    for gen in (enumerate_subspaces(13, 1), dual_frames(13, 1)):
+    for gen in (_subspace_rows(13, 1), dual_frames(13, 1)):
         with pytest.raises(BudgetExceededError, match="n <= 12, got 13"):
             next(iter(gen))
-    assert next(enumerate_subspaces(12, 0)).dim == 0
+    assert next(_subspace_rows(12, 0)) == ()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spans_and_images_match_span_order(n):
+    rnd = random.Random(n)
+    # k x n matrices: square ones, and k dual rows as in the frame keys
+    for k in (n, rnd.randint(0, n)):
+        rows = [tuple(rnd.getrandbits(n) for _ in range(k)) for _ in range(20)]
+        arr = np.array(rows, dtype=np.uint8).reshape(20, k)
+        spans = _spans(arr)
+        assert spans.shape == (20, 1 << k)
+        assert [list(r) for r in spans] == [_span_order(r) for r in rows]
+        img = _images(arr, n)
+        assert img.shape == (20, 1 << n)
+        for r, got in zip(rows, img):
+            b = Gf2Matrix.from_bits(r, n)
+            # the span of the columns, in counter order, is x -> B x
+            assert list(got) == _span_order(b.transpose().row_bits)
+            assert [b.mul_vec(Gf2Vector(n, x)).bits for x in range(1 << n)] == list(got)
 
 
 def test_gl_order_values():

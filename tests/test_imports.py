@@ -1,0 +1,47 @@
+"""Static checks on the package sources: every top-level import is used,
+and every name a module exports in ``__all__`` exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "paritydt"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that nothing in the
+    module reads (names listed in ``__all__`` count as read)."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_top_level_imports(name):
+    assert unused_imports((SRC / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"paritydt.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_unused_import_is_reported():
+    source = "from .errors import BudgetExceededError, DomainError\nimport numpy as np\n\nraise DomainError\n"
+    assert unused_imports(source) == ["BudgetExceededError (line 1)", "np (line 2)"]

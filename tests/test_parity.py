@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritydt import budget
-from paritydt import classical
+from paritydt import budget, gf2
 from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, _table_xor_translate, local_point, parse_function_spec, restrict
 from paritydt.classical import _max_packing
@@ -23,7 +22,6 @@ from paritydt.gf2 import (
     _span_order,
     _subspace_rows,
     dual_frames,
-    enumerate_subspaces,
     parity,
 )
 from paritydt.parity import (
@@ -203,13 +201,13 @@ def reference_wbs_xor(m, table):
 
 def reference_parity_bs(f):
     """The restrict-per-coset scan: directions by decreasing dimension in
-    enumerate_subspaces order, right-hand sides increasing, first strict
+    _subspace_rows order, right-hand sides increasing, first strict
     maximum as the witness."""
     n = f.arity
     best, witness = -1, None
     for dim in range(n, -1, -1):
-        for sub in enumerate_subspaces(n, dim):
-            wrows = _kernel_bits(list(sub.basis.row_bits), n)
+        for vrows in _subspace_rows(n, dim):
+            wrows = _kernel_bits(vrows, n)
             for rhs in range(1 << len(wrows)):
                 coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
                 rf = restrict(f, coset)
@@ -517,7 +515,7 @@ def test_certificate_first_frame_past_chunk(monkeypatch):
     rnd = random.Random(77)
     late = 0
     for m in (5, 5, 5, 5, 6):
-        monkeypatch.setattr(classical, "_CHUNK_ENTRIES", 7 << m)
+        monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << m)
         f = BooleanFunction(m, rnd.getrandbits(1 << m))
         _assert_certificates_match_reference(f)
         for y in range(1 << m):
@@ -785,6 +783,18 @@ def test_sampled_wbs_rejects_no_samples():
             sampled_weak_parity_bs(f, Gf2Vector(4, 0), samples, 0)
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_basis_weights_match_per_basis_spans(m):
+    bases = reference_bases(m)
+    want = np.zeros((1 << m, len(bases)))
+    for j, (_, sums) in enumerate(bases):
+        for s_idx in range(1, 1 << m):
+            want[sums[s_idx], j] = 1 << s_idx
+    got = parity_mod._basis_weights(m)
+    assert not got.flags.writeable
+    assert np.array_equal(got, want)
+
+
 def test_packing_table_matches_scalar_dp():
     for m in range(4):
         table = parity_mod._packing_table(m)
@@ -858,12 +868,12 @@ def test_pbs_witness_matches_reference_n4_seeded():
 
 @pytest.mark.parametrize("n", range(5))
 def test_coset_scan_matches_subspace_construction(n):
-    """Directions by decreasing dimension in enumerate_subspaces order,
+    """Directions by decreasing dimension in _subspace_rows order,
     constraints their orthogonal complement, right-hand sides increasing."""
     ref = []
     for dim in range(n, -1, -1):
-        for sub in enumerate_subspaces(n, dim):
-            wrows = _kernel_bits(list(sub.basis.row_bits), n)
+        for vrows in _subspace_rows(n, dim):
+            wrows = _kernel_bits(vrows, n)
             for rhs in range(1 << len(wrows)):
                 coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
                 ref.append((coset, dim, tuple(coset.member_bits())))
