@@ -176,7 +176,8 @@ def local_point(rf: RestrictedFunction, x: Gf2Vector) -> int:
 # table kernels shared with the measure modules
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# keyed by (n, b) with b < n <= MAX_WIDTH
+@lru_cache(maxsize=MAX_WIDTH * MAX_WIDTH)
 def _low_mask(n: int, b: int) -> int:
     """Positions 0..2^n-1 whose bit b is clear, as a bitmask."""
     seg = (1 << (1 << b)) - 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import budget
 from .boolfn import BooleanFunction, _table_bits, _table_xor_translate
-from .errors import DimensionError, DomainError
+from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import Gf2Matrix, Gf2Vector, _gl_rows, _images, _row_chunks, _sample_gl_rows
 
 __all__ = [
@@ -279,59 +279,89 @@ def c(f: BooleanFunction) -> int:
 # block sensitivity
 # ---------------------------------------------------------------------------
 
-_packing_cache: dict[tuple[int, int], int] = {}
+# a 2^m-bit code of dimension m <= DENSE_MAX_DIM fits a uint16, so it can
+# index a table of all codes: every block bitmap of that dimension reads
+# its packing from one, and (in parity) every table its depth and
+# certificate profile, each built on first use
+DENSE_MAX_DIM = 4
 
 
-def _max_packing(n: int, sens: int) -> int:
-    """Maximum number of disjoint coordinate blocks marked in ``sens``
-    (a bitmap over block masks)."""
-    got = _packing_cache.get((n, sens))
-    if got is not None:
-        return got
-    dp = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+def _packing_dp(m: int, marks: np.ndarray) -> np.ndarray:
+    """Largest packings of disjoint marked blocks, at every level.
+
+    ``marks[..., blk]`` says whether the block mask blk (a set of the m
+    coordinates) is marked; dp[mask] is the largest number of disjoint
+    marked blocks inside mask, elementwise over the leading axes.  Either
+    mask's lowest coordinate is left out, or one marked block covers it.
+    """
+    marks = np.ascontiguousarray(np.moveaxis(marks, -1, 0))
+    dp = np.zeros(marks.shape, dtype=np.int8)
+    for mask in range(1, 1 << m):
         ib = mask & -mask
-        best = dp[mask ^ ib]
         rest = mask ^ ib
+        best = dp[mask, ...]
+        best[...] = dp[rest]
         sub = rest
         while True:
             blk = sub | ib
-            if (sens >> blk) & 1:
-                cand = 1 + dp[mask ^ blk]
-                if cand > best:
-                    best = cand
+            np.maximum(best, dp[mask ^ blk] + 1, out=best, where=marks[blk, ...])
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        dp[mask] = best
-    out = dp[(1 << n) - 1]
-    _packing_cache[(n, sens)] = out
+    return dp
+
+
+def _code_marks(m: int, codes: np.ndarray) -> np.ndarray:
+    """marks[i, blk] = bit blk of codes[i], for the 2^m block masks of
+    dimension m; unpacked mask-major, the layout _packing_dp reads."""
+    raw = codes.astype(codes.dtype.newbyteorder("<")).view(np.uint8).reshape(len(codes), -1)
+    return np.unpackbits(raw.T, axis=0, count=1 << m, bitorder="little").view(bool).T
+
+
+@lru_cache(maxsize=DENSE_MAX_DIM + 1)
+def _packing_table(m: int) -> np.ndarray:
+    """The packing value of every bitmap over the 2^m block masks (64 KiB
+    of int8 at m = 4), built on first use."""
+    if not 0 <= m <= DENSE_MAX_DIM:
+        raise BudgetExceededError(f"packing table limited to dimension <= {DENSE_MAX_DIM}, got {m}")
+    codes = np.arange(1 << (1 << m), dtype=np.uint16)
+    out = np.empty(codes.size, dtype=np.int8)
+    # in chunks of 4096 bitmaps, so the DP's levels stay small
+    for lo in range(0, codes.size, 1 << 12):
+        out[lo : lo + (1 << 12)] = _packing_dp(m, _code_marks(m, codes[lo : lo + (1 << 12)]))[-1]
+    out.setflags(write=False)
     return out
 
 
-def _sens_bitmap(arity: int, table: int, xb: int) -> int:
-    """Bitmap over nonempty block masks p with f(x ^ p) != f(x)."""
-    t = _table_xor_translate(table, arity, xb)
-    full = (1 << (1 << arity)) - 1
-    return (full & ~t) if (t & 1) else t
+def _bs_scan(n: int, table: int) -> tuple[int, int]:
+    """(bs, the first input reaching it): the packing of every input's
+    sensitive blocks at once."""
+    pts = np.arange(1 << n)
+    near = _table_bits(n, table)[pts[:, None] ^ pts]  # near[x, v] = f(x ^ v)
+    marks = near != near[:, :1]
+    if n <= DENSE_MAX_DIM:
+        vals = _packing_table(n)[marks @ (1 << pts)]
+    else:
+        vals = _packing_dp(n, marks)[-1]
+    x = int(vals.argmax())
+    return int(vals[x]), x
 
 
-def _packing_blocks(n: int, sens: int) -> list[int]:
+def _packing_blocks(n: int, marks: list[bool], dp: list[int]) -> list[int]:
     """One maximum packing, deterministically (skip-lowest first, then
     blocks in submask-descending order, matching the DP scan)."""
     blocks = []
     mask = (1 << n) - 1
     while mask:
-        target = _max_packing(n, sens & _blocks_within(mask, n))
         ib = mask & -mask
-        if _max_packing(n, sens & _blocks_within(mask ^ ib, n)) == target:
+        if dp[mask ^ ib] == dp[mask]:
             mask ^= ib
             continue
         rest = mask ^ ib
         sub = rest
         while True:
             blk = sub | ib
-            if (sens >> blk) & 1 and 1 + _max_packing(n, sens & _blocks_within(mask ^ blk, n)) == target:
+            if marks[blk] and 1 + dp[mask ^ blk] == dp[mask]:
                 blocks.append(blk)
                 mask ^= blk
                 break
@@ -339,31 +369,6 @@ def _packing_blocks(n: int, sens: int) -> list[int]:
                 break
             sub = (sub - 1) & rest
     return blocks
-
-
-@lru_cache(maxsize=None)
-def _blocks_within(mask: int, n: int) -> int:
-    """Bitmap of all block masks that are submasks of ``mask``."""
-    out = 0
-    sub = mask
-    while True:
-        out |= 1 << sub
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return out
-
-
-def _bs_scan(n: int, table: int) -> tuple[int, int]:
-    """(bs, the first input reaching it), from the packing values alone."""
-    best, arg = -1, 0
-    for xb in range(1 << n):
-        v = _max_packing(n, _sens_bitmap(n, table, xb))
-        if v > best:
-            best, arg = v, xb
-            if best == n:
-                break
-    return best, arg
 
 
 def block_sensitivity(f: BooleanFunction, x: Gf2Vector | None) -> tuple[int, BlockFamily]:
@@ -376,14 +381,15 @@ def block_sensitivity(f: BooleanFunction, x: Gf2Vector | None) -> tuple[int, Blo
         x = Gf2Vector(n, _bs_scan(n, f.table)[1])
     elif x.width != n:
         raise DimensionError("input width mismatch")
-    sens = _sens_bitmap(n, f.table, x.bits)
-    val = _max_packing(n, sens)
-    blocks = _packing_blocks(n, sens)
+    near = _table_bits(n, f.table)[x.bits ^ np.arange(1 << n)]  # near[v] = f(x ^ v)
+    marks = near != near[0]
+    dp = _packing_dp(n, marks).tolist()
+    blocks = _packing_blocks(n, marks.tolist(), dp)
     fam = BlockFamily(
         anchor=x,
         blocks=tuple(tuple(j + 1 for j in range(n) if (b >> j) & 1) for b in blocks),
     )
-    return val, fam
+    return dp[-1], fam
 
 
 def bs(f: BooleanFunction) -> int:
@@ -397,17 +403,21 @@ def bs(f: BooleanFunction) -> int:
 # minima over invertible changes of basis
 # ---------------------------------------------------------------------------
 
-_MEASURES = {"d", "c", "bs"}
+# each measure's Budget field, and the refusal it gives past it
+_MEASURES = {
+    "d": ("decision_depth", "decision_depth limited to arity"),
+    "c": ("certificate", "certificate aggregates limited to arity"),
+    "bs": ("block_sensitivity", "bs limited to arity"),
+}
 
 
 def _measure_value(measure: str, g: BooleanFunction) -> int:
+    """The value of a measure named in _MEASURES."""
     if measure == "d":
         return decision_depth(g)[0]
     if measure == "c":
         return c(g)
-    if measure == "bs":
-        return bs(g)
-    raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
+    return bs(g)
 
 
 def _gl_chunks(n: int) -> Iterator[np.ndarray]:
@@ -468,5 +478,10 @@ def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: in
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
+    if measure not in _MEASURES:
+        raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
+    # refuse before the gather, as measuring the first table would
+    cap, what = _MEASURES[measure]
+    budget.require(cap, n, what)
     rows = itertools.chain([tuple(1 << i for i in range(n))], _sample_gl_rows(n, samples, seed))
     return _min_over(measure, f, _row_chunks(rows, n))

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, _table_bits, fourier, parse_function_spec
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Gf2Vector
+from .gf2 import Gf2Vector, _parities
 from .parity import MeasureValue
 from .theorems import THEOREM_IDS, Family, VerificationResult, run_verification_suite
 
@@ -173,14 +173,6 @@ def _construct_command(ns: argparse.Namespace) -> tuple[int, dict]:
         if not all(v if isinstance(v, bool) else True for v in checks.values()):
             code = 1
     return code, {"results": body}
-
-
-def _parities(n: int) -> np.ndarray:
-    """The parity of every n-bit value, as a uint8 lookup table."""
-    out = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        out[1 << b : 2 << b] = out[: 1 << b] ^ 1
-    return out
 
 
 def _tree_values(tree: parity.ParityDecisionTree, inputs: np.ndarray, par: np.ndarray) -> np.ndarray:

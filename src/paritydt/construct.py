@@ -22,7 +22,7 @@ from .boolfn import BooleanFunction
 from .classical import c as classical_c
 from .classical import decision_depth
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _rref_bits, _spans, parity
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _parities, _rref_bits, parity
 from .parity import ParityDecisionTree, ParityLeaf, ParityQuery
 
 __all__ = [
@@ -155,9 +155,8 @@ def sample_thm_exp(k: int, seed: int) -> GapInstance:
         cons = Gf2Matrix.from_bits([1 << i for i in range(m3)], n)
         rhs = Gf2Vector(m3, path)
         leaves.append(GapLeaf(t_index, Coset(n, cons, rhs), Gf2Vector(n, queries[t_index - 1])))
-    # f(x) = <x, s_t> for the node t that x's prefix reaches; par[v] is
-    # the parity of v, the span of n ones
-    par = _spans(np.ones((1, n), dtype=np.uint8))[0]
+    # f(x) = <x, s_t> for the node t that x's prefix reaches
+    par = _parities(n)
     x = np.arange(1 << n)
     packed = np.packbits(par[x & np.array(queries)[x & ((1 << m3) - 1)]], bitorder="little")
     table = int.from_bytes(packed.tobytes(), "little")

@@ -160,6 +160,12 @@ def _spans(cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _parities(n: int) -> np.ndarray:
+    """The parity of every n-bit value, as a uint8 lookup table: the span
+    of n ones."""
+    return _spans(np.ones((1, n), dtype=np.uint8))[0]
+
+
 def _images(rows: np.ndarray, n: int) -> np.ndarray:
     """img[i, x] = B_i x, packed, for the matrices B_i with n columns
     whose rows are ``rows[i]``: the span of B_i's columns."""

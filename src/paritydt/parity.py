@@ -26,7 +26,7 @@ from .boolfn import (
     local_point,
     restrict,
 )
-from .classical import _aggregate
+from .classical import DENSE_MAX_DIM, _aggregate, _code_marks, _packing_dp, _packing_table
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
@@ -177,12 +177,9 @@ def _localize(f: BooleanFunction | RestrictedFunction) -> RestrictedFunction:
 # parity certificates
 # ---------------------------------------------------------------------------
 
-# a 2^m-bit code of dimension m <= DENSE_MAX_DIM fits a uint16, so it can
-# index a table of all codes: every table of that dimension reads its
-# depth and certificate profile from one, and every block bitmap its
-# packing, each built on first use; the memo dicts hold larger dimensions
-DENSE_MAX_DIM = 4
-
+# every table of dimension m <= DENSE_MAX_DIM reads its depth and
+# certificate profile from a table of all 2^(2^m) codes, built on first
+# use; the memo dicts hold larger dimensions
 _profile_cache: dict[tuple[int, int], bytes] = {}
 
 
@@ -549,38 +546,6 @@ def _basis_weights(m: int) -> np.ndarray:
     return w
 
 
-def _packing_dp(m: int, codes: np.ndarray) -> np.ndarray:
-    """classical._max_packing(m, s) for every bitmap s in ``codes``: the
-    same DP over coordinate masks, run on all the bitmaps at once."""
-    dp = [np.zeros(codes.shape, dtype=np.int8)]
-    for mask in range(1, 1 << m):
-        ib = mask & -mask
-        rest = mask ^ ib
-        best = dp[rest].copy()
-        sub = rest
-        while True:
-            blk = sub | ib
-            np.maximum(best, dp[mask ^ blk] + 1, out=best, where=((codes >> blk) & 1).astype(bool))
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        dp.append(best)
-    return dp[-1]
-
-
-@lru_cache(maxsize=DENSE_MAX_DIM + 1)
-def _packing_table(m: int) -> np.ndarray:
-    """The packing value of every bitmap over the 2^m block masks (64 KiB
-    of int8 at m = 4), built on first use."""
-    if not 0 <= m <= DENSE_MAX_DIM:
-        raise BudgetExceededError(f"packing table limited to dimension <= {DENSE_MAX_DIM}, got {m}")
-    # in chunks of 4096 bitmaps, so the DP's temporaries stay small
-    codes = np.arange(1 << (1 << m), dtype=np.uint16)
-    out = np.concatenate([_packing_dp(m, c) for c in np.split(codes, max(1, codes.size >> 12))])
-    out.setflags(write=False)
-    return out
-
-
 def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = slice(None)) -> np.ndarray:
     """Block sensitivity of the local table at the chosen points (rows)
     through every basis whose span weights are a column of ``weights``."""
@@ -590,8 +555,11 @@ def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = sli
     codes = ((near != near[:, :1]).astype(weights.dtype) @ weights).astype(np.intp)
     if m <= DENSE_MAX_DIM:
         return _packing_table(m)[codes]
-    # no 2^(2^m)-entry table: run the DP on the bitmaps, one point at a time
-    return np.stack([_packing_dp(m, row) for row in codes])
+    # no 2^(2^m)-entry table: run the DP on the codes' bits, one point at a time
+    out = np.empty(codes.shape, dtype=np.int8)
+    for i, row in enumerate(codes):
+        out[i] = _packing_dp(m, _code_marks(m, row))[-1]
+    return out
 
 
 def _weak_scan(m: int, table: int, weights: np.ndarray, points: slice = slice(None)) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from packing_oracle import reference_block_sensitivity, reference_bs_scan
 
 from paritydt import budget, classical, gf2
 from paritydt.boolfn import BooleanFunction, parse_function_spec, rotate
@@ -258,6 +259,42 @@ def test_bs_budget():
         block_sensitivity(BooleanFunction(9, 0), Gf2Vector(9, 0))
 
 
+def _assert_bs_matches_scalar_dp(f, inputs):
+    """Value and BlockFamily at each input, and bs with its first
+    maximizing input, as the scalar DP gives them."""
+    for xb in inputs:
+        x = Gf2Vector(f.arity, xb)
+        assert block_sensitivity(f, x) == reference_block_sensitivity(f, x), (f.spec, xb)
+    value, first = reference_bs_scan(f)
+    assert bs(f) == value
+    assert block_sensitivity(f, None) == reference_block_sensitivity(f, Gf2Vector(f.arity, first))
+
+
+def test_bs_witnesses_match_scalar_dp_all_n_le_3():
+    for n in range(4):
+        for t in range(1 << (1 << n)):
+            _assert_bs_matches_scalar_dp(BooleanFunction(n, t), range(1 << n))
+
+
+def test_bs_witnesses_match_scalar_dp_seeded():
+    rnd = random.Random(12)
+    for n in range(4, 9):
+        for k in range(6):
+            t = rnd.getrandbits(1 << n)
+            if k % 2:  # sparse: about one input in eight is a 1
+                t &= rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n)
+            inputs = range(1 << n) if n <= 5 else rnd.sample(range(1 << n), 4)
+            _assert_bs_matches_scalar_dp(BooleanFunction(n, t), inputs)
+
+
+def test_bs_witnesses_match_scalar_dp_zoo():
+    specs = [f"zoo:{name}:{n}" for name in ("and", "or", "parity") for n in range(1, 9)]
+    for spec in specs + [f"zoo:maj:{n}" for n in (1, 3, 5, 7)]:
+        f = parse_function_spec(spec)
+        n = f.arity
+        _assert_bs_matches_scalar_dp(f, range(1 << n) if n <= 6 else (0, 1, (1 << n) - 1))
+
+
 def test_bs_at_most_c_all_n3():
     for t in range(256):
         f = BooleanFunction(3, t)
@@ -318,6 +355,27 @@ def test_sampled_symmetrized_rejects_no_samples():
     for samples in (0, -1):
         with pytest.raises(DomainError):
             sampled_symmetrized("bs", BooleanFunction(3, 150), samples, 0)
+
+
+def test_sampled_symmetrized_refuses_before_the_gather(monkeypatch):
+    def no_gather(*args):
+        raise AssertionError("rotations gathered before the cap check")
+
+    monkeypatch.setattr(classical, "_rotations", no_gather)
+    b = budget.current.get()
+    for name, measure, n in (
+        ("d", decision_depth, b.decision_depth + 1),
+        ("c", c, b.certificate + 1),
+        ("bs", bs, b.block_sensitivity + 1),
+    ):
+        f = BooleanFunction(n, 0)
+        with pytest.raises(BudgetExceededError) as direct:
+            measure(f)
+        with pytest.raises(BudgetExceededError) as sampled:
+            sampled_symmetrized(name, f, 1, 0)
+        assert str(sampled.value) == str(direct.value)
+    with pytest.raises(DomainError, match="unknown measure"):
+        sampled_symmetrized("depth", BooleanFunction(3, 150), 1, 0)
 
 
 # ---------------------------------------------------------------------------

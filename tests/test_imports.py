@@ -1,5 +1,6 @@
 """Static checks on the package sources: every top-level import is used,
-and every name a module exports in ``__all__`` exists."""
+every name a module exports in ``__all__`` exists, and no function cache
+is unbounded."""
 
 import ast
 import importlib
@@ -40,6 +41,43 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"paritydt.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Functions decorated with ``functools.cache`` or with an
+    ``lru_cache`` whose maxsize is None."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "cache":
+                out.append(f"{node.name} (line {dec.lineno})")
+            elif name == "lru_cache" and call:
+                maxsize = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                if any(isinstance(v, ast.Constant) and v.value is None for v in maxsize):
+                    out.append(f"{node.name} (line {dec.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_unbounded_caches(name):
+    assert unbounded_caches((SRC / f"{name}.py").read_text()) == []
+
+
+def test_unbounded_cache_is_reported():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=None)\ndef a(n): pass\n\n"
+        "@functools.lru_cache(None)\ndef b(n): pass\n\n"
+        "@cache\ndef c(n): pass\n\n"
+        "@lru_cache(maxsize=64)\ndef d(n): pass\n\n"
+        "@lru_cache\ndef e(n): pass\n"
+    )
+    assert unbounded_caches(source) == ["a (line 4)", "b (line 7)", "c (line 10)"]
 
 
 def test_unused_import_is_reported():

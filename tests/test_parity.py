@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritydt import budget, gf2
+from packing_oracle import reference_max_packing
+
+from paritydt import budget, classical, gf2
 from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, _table_xor_translate, local_point, parse_function_spec, restrict
-from paritydt.classical import _max_packing
 from paritydt.errors import BudgetExceededError, DomainError
 from paritydt.gf2 import (
     Coset,
@@ -180,7 +181,7 @@ def reference_wbs_point(m, table, y):
     best_basis = None
     for basis, sums in reference_bases(m):
         bm = sum(1 << s_idx for s_idx in range(1, 1 << m) if flips[sums[s_idx]])
-        v = _max_packing(m, bm)
+        v = reference_max_packing(m, bm)
         if best is None or v < best:
             best, best_basis = v, basis
             if best == 1:
@@ -797,20 +798,25 @@ def test_basis_weights_match_per_basis_spans(m):
 
 def test_packing_table_matches_scalar_dp():
     for m in range(4):
-        table = parity_mod._packing_table(m)
+        table = classical._packing_table(m)
         assert table.dtype == "int8" and table.size == 1 << (1 << m)
-        assert [int(v) for v in table] == [_max_packing(m, s) for s in range(1 << (1 << m))]
-    table = parity_mod._packing_table(4)
-    assert table.nbytes == 1 << 16
+        assert [int(v) for v in table] == [reference_max_packing(m, s) for s in range(1 << (1 << m))]
+    table = classical._packing_table(4)
+    assert table.nbytes == 1 << 16 and table.base is None
     for s in list(range(0, 1 << 16, 97)) + [(1 << 16) - 2, (1 << 16) - 1]:
-        assert int(table[s]) == _max_packing(4, s)
+        assert int(table[s]) == reference_max_packing(4, s)
 
 
 def test_packing_dp_above_table_matches_scalar_dp():
     rnd = random.Random(17)
     codes = [rnd.getrandbits(32) & ~1 for _ in range(150)] + [0, (1 << 32) - 2, 1 << 31]
-    got = parity_mod._packing_dp(5, np.array(codes, dtype=np.intp))
-    assert [int(v) for v in got] == [_max_packing(5, s) for s in codes]
+    got = classical._packing_dp(5, classical._code_marks(5, np.array(codes, dtype=np.intp)))
+    assert got.shape == (32, len(codes))
+    assert [int(v) for v in got[-1]] == [reference_max_packing(5, s) for s in codes]
+    # every level: dp[mask] packs only the blocks inside mask
+    for mask in (0, 1, 6, 0b10110, 0b11101):
+        within = sum(1 << b for b in range(32) if b & mask == b)
+        assert [int(v) for v in got[mask]] == [reference_max_packing(5, s & within) for s in codes]
 
 
 def test_packing_table_refuses_large_dimension_at_once():
