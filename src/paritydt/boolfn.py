@@ -13,6 +13,7 @@ kept exact as dyadic rationals (integer numerator over 2^n).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,13 +60,9 @@ class BooleanFunction:
         n = (len(s) - 1).bit_length()
         if not s or len(s) != (1 << n):
             raise DimensionError(f"table length {len(s)} is not a power of two")
-        t = 0
-        for i, ch in enumerate(s):
-            if ch not in "01":
-                raise DimensionError(f"invalid table character {ch!r}")
-            if ch == "1":
-                t |= 1 << i
-        return cls(n, t)
+        if n > MAX_WIDTH:
+            raise DimensionError(f"arity {n} outside 0..{MAX_WIDTH}")
+        return cls(n, _parse_bits(s))
 
     def value_at(self, idx: int) -> int:
         """f at the packed input index."""
@@ -176,22 +173,45 @@ def local_point(rf: RestrictedFunction, x: Gf2Vector) -> int:
 # table kernels shared with the measure modules
 # ---------------------------------------------------------------------------
 
-# keyed by (n, b) with b < n <= MAX_WIDTH
-@lru_cache(maxsize=MAX_WIDTH * MAX_WIDTH)
-def _low_mask(n: int, b: int) -> int:
-    """Positions 0..2^n-1 whose bit b is clear, as a bitmask."""
-    seg = (1 << (1 << b)) - 1
-    step = 1 << (b + 1)
-    out = 0
-    for off in range(0, 1 << n, step):
-        out |= seg << off
-    return out
-
-
 def _table_bits(n: int, t: int) -> np.ndarray:
     """The 2^n bits of table t as a uint8 array, bit x at index x."""
     raw = np.frombuffer(t.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[: 1 << n]
+
+
+def _pack_table(bits: np.ndarray) -> int:
+    """The table whose bit x is bits[x] (0/1 or bool): the inverse of
+    _table_bits."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _gather(table: int | np.ndarray, idxs: Sequence[int]) -> int | np.ndarray:
+    """The bits of ``table`` at ``idxs``, packed in order; elementwise on
+    an array of tables."""
+    acc = 0
+    for i, p in enumerate(idxs):
+        acc |= ((table >> p) & 1) << i
+    return acc
+
+
+def _parse_bits(s: str, at: int | None = None) -> int:
+    """The table whose bit i is the 0/1 character s[i].  Any other
+    character is refused: as a FunctionSpecError at position at + i when
+    ``at`` is given, else as a DimensionError."""
+    # the characters before the first one outside "01"
+    i = len(s) - len(s.lstrip("01"))
+    if i < len(s):
+        msg = f"invalid table character {s[i]!r}"
+        raise DimensionError(msg) if at is None else FunctionSpecError(msg, at + i)
+    return _pack_table(np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0"))
+
+
+# keyed by (n, b) with b < n <= MAX_WIDTH
+@lru_cache(maxsize=MAX_WIDTH * MAX_WIDTH)
+def _low_mask(n: int, b: int) -> int:
+    """Positions 0..2^n-1 whose bit b is clear, as a bitmask."""
+    half = np.repeat(np.array([1, 0], dtype=np.uint8), 1 << b)
+    return _pack_table(np.tile(half, 1 << (n - b - 1)))
 
 
 def _table_xor_translate(t: int, n: int, c: int) -> int:
@@ -219,8 +239,7 @@ def rotate(f: BooleanFunction, a: Gf2Matrix) -> BooleanFunction:
     if not a.is_invertible():
         raise DomainError("rotation matrix is singular")
     img = _images(np.array([a.row_bits], dtype=np.min_scalar_type((1 << n) - 1)), n)[0]
-    packed = np.packbits(_table_bits(n, f.table)[img], bitorder="little")
-    return BooleanFunction(n, int.from_bytes(packed.tobytes(), "little"))
+    return BooleanFunction(n, _pack_table(_table_bits(n, f.table)[img]))
 
 
 def restrict(f: BooleanFunction, h: Coset) -> RestrictedFunction:
@@ -250,11 +269,7 @@ def restrict_with_frame(f: BooleanFunction, h: Coset, basis_rows: list[int], off
 
 
 def _restrict_frame(f: BooleanFunction, h: Coset, rows: list[int], off: int) -> RestrictedFunction:
-    pts = _span_order(rows)
-    t = f.table
-    local = 0
-    for y, p in enumerate(pts):
-        local |= ((t >> (off ^ p)) & 1) << y
+    local = _gather(f.table, [off ^ p for p in _span_order(rows)])
     return RestrictedFunction(
         ambient=h,
         local=BooleanFunction(len(rows), local),
@@ -353,13 +368,7 @@ def _parse_tt(rest: str, base: int) -> BooleanFunction:
     body = base + len(nstr) + 1
     if len(bits) != (1 << n):
         raise FunctionSpecError(f"table length {len(bits)} != 2^{n}", body)
-    t = 0
-    for i, ch in enumerate(bits):
-        if ch not in "01":
-            raise FunctionSpecError(f"invalid table character {ch!r}", body + i)
-        if ch == "1":
-            t |= 1 << i
-    return BooleanFunction(n, t)
+    return BooleanFunction(n, _parse_bits(bits, body))
 
 
 def _parse_anf(rest: str, base: int) -> BooleanFunction:
@@ -368,7 +377,9 @@ def _parse_anf(rest: str, base: int) -> BooleanFunction:
         raise FunctionSpecError("anf spec needs anf:<n>:<poly>", base + len(rest))
     n = _parse_arity(nstr, base)
     body = base + len(nstr) + 1
-    terms: list[int | None] = []  # None = the constant term 1, else variable mask
+    # coef[m] is the coefficient of the monomial with variable mask m
+    # (the constant term 1 is mask 0)
+    coef = np.zeros(1 << n, dtype=np.uint8)
     pos = 0
     for chunk in poly.split("+"):
         chunk_start = body + pos
@@ -376,11 +387,8 @@ def _parse_anf(rest: str, base: int) -> BooleanFunction:
         term = chunk.strip()
         if not term:
             raise FunctionSpecError("empty term", chunk_start)
-        if term == "1":
-            terms.append(None)
-            continue
         mask = 0
-        for factor in term.split("*"):
+        for factor in [] if term == "1" else term.split("*"):
             factor = factor.strip()
             if not factor.startswith("x"):
                 raise FunctionSpecError(f"bad factor {factor!r}", chunk_start)
@@ -391,14 +399,10 @@ def _parse_anf(rest: str, base: int) -> BooleanFunction:
             if not 1 <= i <= n:
                 raise FunctionSpecError(f"variable x{i} outside 1..x{n}", chunk_start)
             mask |= 1 << (i - 1)
-        terms.append(mask)
-    t = 0
-    for x in range(1 << n):
-        acc = 0
-        for term in terms:
-            if term is None:
-                acc ^= 1
-            elif (x & term) == term:
-                acc ^= 1
-        t |= acc << x
-    return BooleanFunction(n, t)
+        coef[mask] ^= 1
+    # f(x) is the XOR of coef[m] over the masks m within x: the subset
+    # sum butterfly over GF(2), one variable at a time
+    for b in range(n):
+        pairs = coef.reshape(-1, 2, 1 << b)
+        pairs[:, 1] ^= pairs[:, 0]
+    return BooleanFunction(n, _pack_table(coef))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-from .boolfn import BooleanFunction, restrict
+from .boolfn import BooleanFunction, _pack_table, restrict
 from .errors import DimensionError, DomainError
 from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, parity
 from .parity import ParityCertificate, _coset_classes, c1_xor, parity_certificate
@@ -197,10 +197,9 @@ def _pad_to_codim(rows: tuple[int, ...], n: int, d: int) -> list[int]:
 
 
 def _coset_bitmap(cs: Coset) -> int:
-    out = 0
-    for b in cs.member_bits():
-        out |= 1 << b
-    return out
+    members = np.zeros(1 << cs.ncols, dtype=np.uint8)
+    members[cs.member_bits()] = 1
+    return _pack_table(members)
 
 
 def _first_redundant(bitmaps: list[int]) -> int | None:

@@ -122,6 +122,8 @@ def _compute_measure_sampled(f: BooleanFunction, name: str, samples: int, seed: 
 def _measure_command(ns: argparse.Namespace) -> tuple[int, dict | str]:
     f = parse_function_spec(ns.fn)
     names = [m.strip() for m in ns.measures.split(",") if m.strip()]
+    if not names:
+        raise ParitydtError("no measure to compute")
     for m in names:
         if m not in MEASURE_NAMES:
             raise ParitydtError(f"unknown measure {m!r}; known: {', '.join(MEASURE_NAMES)}")

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction
+from .boolfn import BooleanFunction, _pack_table
 from .classical import c as classical_c
 from .classical import decision_depth
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _parities, _rref_bits, parity
+from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _parities, _rref_bits, parity
 from .parity import ParityDecisionTree, ParityLeaf, ParityQuery
 
 __all__ = [
@@ -46,38 +46,30 @@ THM_EXP_MAX_K = 4
 def zoo(name: str, n: int) -> BooleanFunction:
     """Named functions: and, or, parity, maj (odd n), dictator, and
     example31 (x1 + (x2 or x3), arity 3 only)."""
-    if not 1 <= n <= 24:
-        raise DimensionError(f"zoo arity {n} outside 1..24")
+    if not 1 <= n <= MAX_WIDTH:
+        raise DimensionError(f"zoo arity {n} outside 1..{MAX_WIDTH}")
     size = 1 << n
     if name == "and":
         return BooleanFunction(n, 1 << (size - 1))
     if name == "or":
         return BooleanFunction(n, ((1 << size) - 1) ^ 1)
     if name == "parity":
-        t = 0
-        for x in range(size):
-            t |= (x.bit_count() & 1) << x
-        return BooleanFunction(n, t)
+        return BooleanFunction(n, _pack_table(_parities(n)))
     if name == "maj":
         if n % 2 == 0:
             raise DomainError(f"maj needs odd arity, got {n}")
-        t = 0
-        for x in range(size):
-            if x.bit_count() > n // 2:
-                t |= 1 << x
-        return BooleanFunction(n, t)
+        # the weight of every input, one coordinate at a time
+        weight = np.zeros(1, dtype=np.uint8)
+        for _ in range(n):
+            weight = np.concatenate((weight, weight + 1))
+        return BooleanFunction(n, _pack_table(weight > n // 2))
     if name == "dictator":
-        t = 0
-        for x in range(size):
-            t |= (x & 1) << x
-        return BooleanFunction(n, t)
+        return BooleanFunction(n, _pack_table(np.tile(np.array([0, 1], dtype=np.uint8), size // 2)))
     if name == "example31":
         if n != 3:
             raise DomainError(f"example31 is defined for arity 3, got {n}")
-        t = 0
-        for x in range(8):
-            t |= ((x & 1) ^ (1 if x & 0b110 else 0)) << x
-        return BooleanFunction(3, t)
+        x = np.arange(8)
+        return BooleanFunction(3, _pack_table((x & 1) ^ (x & 0b110 > 0)))
     raise DomainError(f"unknown zoo function {name!r}; known: {', '.join(ZOO_NAMES)}")
 
 
@@ -158,8 +150,7 @@ def sample_thm_exp(k: int, seed: int) -> GapInstance:
     # f(x) = <x, s_t> for the node t that x's prefix reaches
     par = _parities(n)
     x = np.arange(1 << n)
-    packed = np.packbits(par[x & np.array(queries)[x & ((1 << m3) - 1)]], bitorder="little")
-    table = int.from_bytes(packed.tobytes(), "little")
+    table = _pack_table(par[x & np.array(queries)[x & ((1 << m3) - 1)]])
     return GapInstance(k, n, seed, tree, tuple(leaves), BooleanFunction(n, table))
 
 

@@ -20,6 +20,7 @@ from . import budget
 from .boolfn import (
     BooleanFunction,
     RestrictedFunction,
+    _gather,
     _table_bits,
     _table_xor_translate,
     as_restricted,
@@ -356,15 +357,6 @@ def _split_frames(m: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     res = (idx0, idx1)
     _split_cache[(m, w)] = res
     return res
-
-
-def _gather(table: int | np.ndarray, idxs: tuple[int, ...]) -> int | np.ndarray:
-    """The bits of ``table`` at ``idxs``, packed in order; elementwise on
-    an array of tables."""
-    acc = 0
-    for i, p in enumerate(idxs):
-        acc |= ((table >> p) & 1) << i
-    return acc
 
 
 @lru_cache(maxsize=DENSE_MAX_DIM + 1)

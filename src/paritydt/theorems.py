@@ -47,6 +47,10 @@ class Family:
     count: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n < 0 or (self.count or 0) < 0:
+            raise ParitydtError(f"family {self.spec} needs n >= 0 and count >= 0")
+
     @property
     def spec(self) -> str:
         if self.kind == "random":
@@ -369,6 +373,8 @@ def run_verification_suite(
     family: Family | str, theorems: list[str], threads: int | None = None
 ) -> list[VerificationResult]:
     fam = parse_family(family) if isinstance(family, str) else family
+    if not theorems:
+        raise ParitydtError("no theorem to check")
     for th in theorems:
         if th not in THEOREMS:
             raise ParitydtError(f"unknown theorem {th!r}; known: {', '.join(THEOREM_IDS)}")

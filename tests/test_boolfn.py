@@ -62,6 +62,8 @@ def test_table_validation():
         BooleanFunction.from_table_string("011")
     with pytest.raises(DimensionError):
         BooleanFunction.from_table_string("01x1")
+    with pytest.raises(DimensionError, match="^invalid table character 'é'$"):
+        BooleanFunction.from_table_string("0é11")
 
 
 def test_is_constant():
@@ -112,6 +114,9 @@ def test_parse_zoo():
         ("tt:0:", 3),  # arity below 1
         ("tt:2:011", 5),  # wrong table length
         ("tt:2:01a1", 7),  # bad table character
+        ("tt:1:é0", 5),  # positions count characters, not bytes
+        ("tt:2:0é1x", 6),
+        ("tt:3:0101011\udcff", 12),  # an undecodable argv byte
         ("anf:2:x3", 6),  # variable index out of range
         ("anf:2:x1+", 9),  # empty trailing term
         ("anf:2:y1", 6),  # factor without x prefix

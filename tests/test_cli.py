@@ -129,6 +129,12 @@ def test_measure_errors(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert run(["measure", "--fn", "zoo:maj:4", "--measures", "d"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a list that names nothing computes nothing, so it is not a result
+    for names in [",", " , ", ""]:
+        assert run(["measure", "--fn", "zoo:or:2", "--measures", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +324,17 @@ def test_verify_usage_errors(capsys):
     capsys.readouterr()
     assert run(["verify", "--family", "every:2", "--theorems", "thm1"]) == 2
     capsys.readouterr()
+    # negative arity or count, or no theorem: a usage error, not a
+    # traceback or a pass that checked nothing
+    for family, names in [("exhaustive:-1", "thm1"), ("random:-1:2:0", "thm1"),
+                          ("random:4:-3:0", "thm1"), ("exhaustive:2", ","), ("exhaustive:2", " , ")]:
+        assert run(["verify", "--family", family, "--theorems", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    for family in ["exhaustive:-1", "random:-1:2:0", "random:4:-3:0"]:
+        with pytest.raises(ParitydtError):
+            theorems.parse_family(family)
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
