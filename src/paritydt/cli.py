@@ -10,6 +10,7 @@ violation, 2 usage error or budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -177,22 +178,6 @@ def _construct_command(ns: argparse.Namespace) -> tuple[int, dict]:
     return code, {"results": body}
 
 
-def _tree_values(tree: parity.ParityDecisionTree, inputs: np.ndarray, par: np.ndarray) -> np.ndarray:
-    """The tree's value at every input at once, ``inputs`` being
-    0..2^n-1: each query splits the inputs that reach it by a parity
-    lookup of x & query."""
-    out = np.empty(len(inputs), dtype=np.uint8)
-    todo = [(tree, inputs)]
-    while todo:
-        node, pts = todo.pop()
-        if isinstance(node, parity.ParityLeaf):
-            out[pts] = node.value
-        else:
-            ans = par[pts & node.query.bits].astype(bool)
-            todo += [(node.child0, pts[~ans]), (node.child1, pts[ans])]
-    return out
-
-
 def _gap_instance_checks(inst: construct.GapInstance) -> dict:
     n = inst.n
     checks: dict[str, object] = {}
@@ -200,7 +185,8 @@ def _gap_instance_checks(inst: construct.GapInstance) -> dict:
     bits = _table_bits(n, inst.f.table)
     par = _parities(n)
     inputs = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    checks["tree_table_agree"] = bool(np.array_equal(_tree_values(inst.tree, inputs, par), bits))
+    values, _ = comm._tree_walk(inst.tree, inputs, np.zeros_like(inputs), par)  # Bob holds 0
+    checks["tree_table_agree"] = bool(np.array_equal(values, bits))
     seen = np.zeros(1 << n, dtype=bool)
     disjoint = linear = True
     for leaf in inst.leaves:
@@ -235,62 +221,39 @@ def _parse_hex_vector(text: str, width: int, flag: str) -> Gf2Vector:
 def _comm_command(ns: argparse.Namespace) -> tuple[int, dict]:
     f = parse_function_spec(ns.fn)
     n = f.arity
-    size = 1 << n
     if ns.sweep:
         if ns.x is not None or ns.y is not None:
             raise ParitydtError("--sweep does not take --x/--y")
     elif ns.x is None or ns.y is None:
         raise ParitydtError("give both --x and --y, or use --sweep")
-    body: dict = {"function": {"spec": ns.fn, "canonical": f.spec, "arity": n}}
-    code = 0
+    ok = True
     if ns.protocol == "det":
         d, tree = parity.parity_depth(f)
+        res = {"protocol": "det", "depth": d}
+        simulate = functools.partial(comm.simulate_det_protocol, tree)
         if ns.sweep:
-            ok = True
-            max_bits = 0
-            for xb in range(size):
-                for yb in range(size):
-                    tr = comm.simulate_det_protocol(tree, Gf2Vector(n, xb), Gf2Vector(n, yb))
-                    max_bits = max(max_bits, tr.total_bits)
-                    ok = ok and tr.output == f.value_at(xb ^ yb)
-            within = max_bits <= 2 * d
-            body["results"] = {
-                "protocol": "det", "depth": d, "pairs": size * size,
-                "all_correct": ok, "max_total_bits": max_bits,
-                "bound": 2 * d, "within_bound": within,
-            }
-            code = 0 if ok and within else 1
-        else:
-            x = _parse_hex_vector(ns.x, n, "--x")
-            y = _parse_hex_vector(ns.y, n, "--y")
-            tr = comm.simulate_det_protocol(tree, x, y)
-            body["results"] = {
-                "protocol": "det", "depth": d,
-                "transcript": tr.to_jsonable(),
-                "correct": tr.output == f.value_at(x.bits ^ y.bits),
-            }
-        return code, body
-    ess = certify.essential_certificate_set(f)
-    cost = comm.nondet_cost_bound(ess)
-    k_bound = comm.essential_size_bound(n, ess.codim)
-    common = {
-        "protocol": "nondet", "codim": ess.codim, "k": ess.size,
-        "cost": cost, "k_bound": k_bound, "k_within_bound": ess.size <= k_bound,
-    }
+            correct, max_bits = comm.det_sweep(f, tree)
+            res.update(all_correct=correct, max_total_bits=max_bits, bound=2 * d, within_bound=max_bits <= 2 * d)
+            ok = correct and res["within_bound"]
+    else:
+        ess = certify.essential_certificate_set(f)
+        k_bound = comm.essential_size_bound(n, ess.codim)
+        res = {
+            "protocol": "nondet", "codim": ess.codim, "k": ess.size, "cost": comm.nondet_cost_bound(ess),
+            "k_bound": k_bound, "k_within_bound": ess.size <= k_bound,
+        }
+        simulate = functools.partial(comm.nondet_protocol, f, ess)
+        if ns.sweep:
+            res["sound_and_complete"] = comm.nondet_violation(f, ess) is None
+            ok = res["sound_and_complete"] and res["k_within_bound"]
     if ns.sweep:
-        ok = comm.nondet_violation(f, ess) is None
-        body["results"] = {**common, "pairs": size * size, "sound_and_complete": ok}
-        code = 0 if ok and common["k_within_bound"] else 1
+        res["pairs"] = 1 << (2 * n)
     else:
         x = _parse_hex_vector(ns.x, n, "--x")
         y = _parse_hex_vector(ns.y, n, "--y")
-        tr = comm.nondet_protocol(f, ess, x, y)
-        body["results"] = {
-            **common,
-            "transcript": tr.to_jsonable(),
-            "correct": tr.output == f.value_at(x.bits ^ y.bits),
-        }
-    return code, body
+        tr = simulate(x, y)
+        res.update(transcript=tr.to_jsonable(), correct=tr.output == f.value_at(x.bits ^ y.bits))
+    return (0 if ok else 1), {"function": {"spec": ns.fn, "canonical": f.spec, "arity": n}, "results": res}
 
 
 def _fourier_command(ns: argparse.Namespace) -> tuple[int, dict]:

@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import budget
-from .boolfn import BooleanFunction, fourier
+from .boolfn import BooleanFunction, _table_bits, fourier
 from .certify import EssentialSet, essential_certificate_set
 from .errors import DimensionError
-from .gf2 import Gf2Vector, parity
+from .gf2 import Gf2Vector, _images, _parities, parity
 from .parity import (
     ParityDecisionTree,
     ParityLeaf,
@@ -35,6 +37,7 @@ __all__ = [
     "ProtocolMessage",
     "ProtocolTranscript",
     "simulate_det_protocol",
+    "det_sweep",
     "nondet_protocol",
     "nondet_cost_bound",
     "essential_size_bound",
@@ -95,36 +98,64 @@ class ProtocolTranscript:
 
 def simulate_det_protocol(tree: ParityDecisionTree, x: Gf2Vector, y: Gf2Vector) -> ProtocolTranscript:
     """Run the two-bit-per-query protocol induced by a parity tree."""
+    if x.width != y.width:
+        raise DimensionError("Alice's and Bob's inputs differ in width")
     messages: list[ProtocolMessage] = []
     node = tree
     while isinstance(node, ParityQuery):
-        if node.query.width != x.width or node.query.width != y.width:
+        if node.query.width != x.width:
             raise DimensionError("tree query width differs from the inputs'")
         a = parity(node.query.bits & x.bits)
         b = parity(node.query.bits & y.bits)
-        messages.append(ProtocolMessage("alice", str(a)))
-        messages.append(ProtocolMessage("bob", str(b)))
+        messages += [ProtocolMessage("alice", str(a)), ProtocolMessage("bob", str(b))]
         node = node.child1 if a ^ b else node.child0
     assert isinstance(node, ParityLeaf)
     return ProtocolTranscript(tuple(messages), node.value)
 
 
+def _tree_walk(tree: ParityDecisionTree, xs: np.ndarray, ys: np.ndarray, par: np.ndarray):
+    """The tree protocol on every pair (xs[i], ys[i]) at once: the leaf
+    value and the depth each pair reaches.  At a query q Alice answers
+    par[q & x] and Bob par[q & y]; pairs whose answers differ take child1."""
+    out, depth = np.empty((2, len(xs)), dtype=np.uint8)
+    todo = [(tree, np.arange(len(xs)), 0)]
+    while todo:
+        node, idx, level = todo.pop()
+        if isinstance(node, ParityLeaf):
+            out[idx], depth[idx] = node.value, level
+        else:
+            q = node.query.bits
+            ans = (par[xs[idx] & q] ^ par[ys[idx] & q]).astype(bool)
+            todo += [(node.child0, idx[~ans], level + 1), (node.child1, idx[ans], level + 1)]
+    return out, depth
+
+
+def det_sweep(f: BooleanFunction, tree: ParityDecisionTree) -> tuple[bool, int]:
+    """(all correct, most bits sent) for the tree's protocol on all 4^n pairs."""
+    n = f.arity
+    if isinstance(tree, ParityQuery) and tree.query.width != n:
+        raise DimensionError("tree query width differs from the function's")
+    xs, ys = np.divmod(np.arange(1 << (2 * n)), 1 << n)
+    out, depth = _tree_walk(tree, xs, ys, _parities(n))
+    return bool(np.array_equal(out, _table_bits(n, f.table)[xs ^ ys])), 2 * int(depth.max())
+
+
 def _index_width(count: int) -> int:
-    return max(1, math.ceil(math.log2(count + 1)))
+    return max(1, count.bit_length())
 
 
-def _accepts(ess: EssentialSet, i: int, x: Gf2Vector, y: Gf2Vector) -> tuple[str, bool]:
-    """Alice's constraint parities for certificate i, and Bob's verdict."""
-    cs = ess.certificates[i - 1]
-    abits = []
-    ok = True
-    for r, row in enumerate(cs.constraints.row_bits):
-        a = parity(row & x.bits)
-        b = parity(row & y.bits)
-        abits.append(str(a))
-        if a ^ b != (cs.rhs.bits >> r) & 1:
-            ok = False
-    return "".join(abits), ok
+def _certificate_keys(f: BooleanFunction, ess: EssentialSet) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """keys[i, x] packs certificate i's constraint parities at x (bit r from row r), from one
+    image call over the stacked rows (zero rows pad the shorter ones); with each rhs and codim."""
+    n = f.arity
+    if any(cs.ncols != n for cs in ess.certificates):
+        raise DimensionError("certificate width differs from the function's")
+    codims = [cs.codim for cs in ess.certificates]
+    rows = np.zeros((ess.size, max(codims, default=0)), dtype=np.min_scalar_type((1 << n) - 1))
+    for row, cs in zip(rows, ess.certificates):
+        row[: cs.codim] = cs.constraints.row_bits
+    rhs = np.array([cs.rhs.bits for cs in ess.certificates], dtype=rows.dtype)
+    return _images(rows, n), rhs, codims
 
 
 def nondet_protocol(
@@ -137,27 +168,25 @@ def nondet_protocol(
     """Nondeterministic protocol from an essential certificate family.
 
     With an explicit choice the prover's claim is simulated as given;
-    otherwise every choice is tried and the first accepting one is
-    used, falling back to the reject claim (index 0, no parity bits).
+    otherwise the first accepting choice is used, falling back to the
+    reject claim (index 0, no parity bits).
     """
     if x.width != f.arity or y.width != f.arity:
         raise DimensionError("input width differs from the function's")
+    keys, rhs, codims = _certificate_keys(f, ess)
     k = ess.size
-    iw = _index_width(k)
-    if choice is not None:
-        if not 0 <= choice <= k:
-            raise DimensionError(f"choice {choice} outside 0..{k}")
-        messages = [ProtocolMessage("alice", format(choice, f"0{iw}b"))]
-        if choice == 0:
-            return ProtocolTranscript(tuple(messages), 0, 0)
-        abits, ok = _accepts(ess, choice, x, y)
-        messages.append(ProtocolMessage("alice", abits))
-        return ProtocolTranscript(tuple(messages), 1 if ok else 0, choice)
-    for i in range(1, k + 1):
-        t = nondet_protocol(f, ess, x, y, i)
-        if t.output == 1:
-            return t
-    return nondet_protocol(f, ess, x, y, 0)
+    if choice is None:
+        accepts = np.flatnonzero((keys[:, x.bits] ^ keys[:, y.bits]) == rhs)
+        choice = int(accepts[0]) + 1 if len(accepts) else 0
+    elif not 0 <= choice <= k:
+        raise DimensionError(f"choice {choice} outside 0..{k}")
+    messages = [ProtocolMessage("alice", format(choice, f"0{_index_width(k)}b"))]
+    if choice == 0:
+        return ProtocolTranscript(tuple(messages), 0, 0)
+    i = choice - 1
+    a = int(keys[i, x.bits])
+    messages.append(ProtocolMessage("alice", "".join(str((a >> r) & 1) for r in range(codims[i]))))
+    return ProtocolTranscript(tuple(messages), int(a ^ keys[i, y.bits] == rhs[i]), choice)
 
 
 def nondet_cost_bound(ess: EssentialSet) -> int:
@@ -171,19 +200,26 @@ def essential_size_bound(n: int, d: int) -> int:
 
 
 def nondet_violation(f: BooleanFunction, ess: EssentialSet) -> dict | None:
-    """The first input pair on which the nondeterministic protocol errs,
-    or accepts with a transcript whose length is not its stated cost, as
-    a record; None if it is correct at that cost on every pair."""
+    """The first input pair (x-major) on which the nondeterministic
+    protocol errs, or accepts with a transcript whose length is not its
+    stated cost, as a record; None if it is correct at that cost on
+    every pair.  Each x is checked against every y at once."""
     n = f.arity
-    cost = nondet_cost_bound(ess)
+    keys, rhs, codims = _certificate_keys(f, ess)
+    iw, ys, bits = _index_width(ess.size), np.arange(1 << n), _table_bits(n, f.table)
+    cost = iw + ess.codim
+    # bits sent under choice i + 1, then under the reject claim (row k)
+    sent = iw + np.array(codims + [0])
+    reject = np.ones((1, 1 << n), dtype=bool)
     for xb in range(1 << n):
-        for yb in range(1 << n):
-            tr = nondet_protocol(f, ess, Gf2Vector(n, xb), Gf2Vector(n, yb))
-            want = f.value_at(xb ^ yb)
-            if tr.output != want:
-                return {"x": xb, "y": yb, "output": tr.output, "expected": want}
-            if tr.output == 1 and tr.total_bits != cost:
-                return {"x": xb, "y": yb, "bits": tr.total_bits, "cost": cost}
+        first = np.vstack([(keys[:, xb, None] ^ keys) == rhs[:, None], reject]).argmax(axis=0)
+        out, want = first < ess.size, bits[xb ^ ys]
+        bad = (out != want) | (out & (sent[first] != cost))
+        if bad.any():
+            yb = int(bad.argmax())
+            if out[yb] != want[yb]:
+                return {"x": xb, "y": yb, "output": int(out[yb]), "expected": int(want[yb])}
+            return {"x": xb, "y": yb, "bits": int(sent[first[yb]]), "cost": cost}
     return None
 
 

@@ -566,6 +566,19 @@ def test_comm_nondet_sweep(capsys):
     assert res["k"] == 1 and res["cost"] == 3 and res["k_within_bound"] is True
 
 
+@pytest.mark.parametrize("protocol, want", [
+    ("det", {"all_correct": True, "bound": 10, "depth": 5, "max_total_bits": 10,
+             "pairs": 65536, "protocol": "det", "within_bound": True}),
+    ("nondet", {"codim": 5, "cost": 10, "k": 28, "k_bound": 254803968, "k_within_bound": True,
+                "pairs": 65536, "protocol": "nondet", "sound_and_complete": True}),
+])
+def test_comm_sweep_at_arity_8(capsys, protocol, want):
+    argv = ["comm", "--fn", "anf:8:x1*x2+x3*x4+x5*x6+x7*x8", "--protocol", protocol, "--sweep"]
+    code, got = run_json(capsys, argv)
+    assert code == 0
+    assert got["results"] == want
+
+
 def test_comm_usage_errors(capsys):
     base = ["comm", "--fn", "zoo:or:2", "--protocol", "det"]
     assert run(base + ["--sweep", "--x", "1"]) == 2

@@ -2,12 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from protocol_oracle import (
+    reference_det_sweep,
+    reference_index_width,
+    reference_nondet_protocol,
+    reference_nondet_violation,
+)
 
 from paritydt.boolfn import BooleanFunction, fourier, parse_function_spec
 from paritydt.certify import EssentialSet, essential_certificate_set
 from paritydt.comm import (
     XorFunction,
+    _index_width,
     conjecture_report,
+    det_sweep,
     essential_size_bound,
     nondet_cost_bound,
     nondet_protocol,
@@ -17,7 +25,7 @@ from paritydt.comm import (
 )
 from paritydt.errors import BudgetExceededError, DimensionError
 from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector
-from paritydt.parity import parity_depth
+from paritydt.parity import ParityLeaf, ParityQuery, parity_depth
 
 
 def oracle_rank(f):
@@ -103,6 +111,11 @@ def test_det_protocol_width_mismatch():
     _, tree = parity_depth(parse_function_spec("zoo:or:2"))
     with pytest.raises(DimensionError):
         simulate_det_protocol(tree, Gf2Vector(3, 0), Gf2Vector(2, 0))
+    # a leaf has no query to compare with, so x and y are checked first
+    with pytest.raises(DimensionError):
+        simulate_det_protocol(ParityLeaf(1), Gf2Vector(3, 5), Gf2Vector(2, 1))
+    with pytest.raises(DimensionError):
+        det_sweep(parse_function_spec("zoo:or:3"), tree)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +195,99 @@ def test_nondet_violation_reports_first_bad_pair():
     dictator = BooleanFunction(2, 0b1010)
     assert nondet_violation(dictator, EssentialSet(2, (x1,))) == {"x": 0, "y": 1, "bits": 2, "cost": 3}
     assert essential_size_bound(3, 2) == 4 * 81
+
+
+def test_nondet_rejects_certificates_of_another_width():
+    and2 = BooleanFunction(2, 0b1000)
+    wide = EssentialSet(1, (Coset(3, Gf2Matrix.from_bits([0b100], 3), Gf2Vector(1, 1)),))
+    with pytest.raises(DimensionError):
+        nondet_violation(and2, wide)
+    with pytest.raises(DimensionError):
+        nondet_protocol(and2, wide, Gf2Vector(2, 3), Gf2Vector(2, 0))
+
+
+def test_index_width_is_the_bit_length():
+    for count in range((1 << 16) + 1):
+        assert _index_width(count) == reference_index_width(count)
+
+
+def oracle_tables():
+    """Every table at n <= 3, and seeded n = 4 and 5 tables, every
+    second one sparse (about one 1-input in eight)."""
+    for n in (1, 2, 3):
+        for t in range(1 << (1 << n)):
+            yield BooleanFunction(n, t)
+    rnd = random.Random(14)
+    for n in (4, 5):
+        for i in range(6):
+            t = rnd.getrandbits(1 << n)
+            if i % 2:
+                t &= rnd.getrandbits(1 << n) & rnd.getrandbits(1 << n)
+            yield BooleanFunction(n, t)
+
+
+def test_det_sweep_matches_scalar_oracle():
+    for f in oracle_tables():
+        tree = parity_depth(f)[1]
+        assert det_sweep(f, tree) == reference_det_sweep(f, tree), f.spec
+
+
+def flip_first_leaf(tree):
+    if isinstance(tree, ParityLeaf):
+        return ParityLeaf(1 - tree.value)
+    return ParityQuery(tree.query, flip_first_leaf(tree.child0), tree.child1)
+
+
+def test_det_sweep_reports_a_flipped_leaf():
+    for spec in ("zoo:maj:3", "zoo:and:4", "zoo:parity:2", "tt:1:11"):
+        f = parse_function_spec(spec)
+        d, tree = parity_depth(f)
+        bad = flip_first_leaf(tree)
+        assert det_sweep(f, bad) == reference_det_sweep(f, bad) == (False, 2 * d)
+
+
+def test_nondet_matches_scalar_oracle():
+    for f in oracle_tables():
+        if f.table == 0:
+            continue
+        ess = essential_certificate_set(f)
+        assert nondet_violation(f, ess) is reference_nondet_violation(f, ess) is None, f.spec
+        n = f.arity
+        if n > 3:
+            continue
+        for xb in range(1 << n):
+            for yb in range(1 << n):
+                x, y = Gf2Vector(n, xb), Gf2Vector(n, yb)
+                assert nondet_protocol(f, ess, x, y) == reference_nondet_protocol(f, ess, x, y)
+                if n < 3:
+                    for i in range(ess.size + 1):
+                        got = nondet_protocol(f, ess, x, y, i)
+                        assert got == reference_nondet_protocol(f, ess, x, y, i)
+
+
+X1 = Coset(2, Gf2Matrix.from_bits([0b01], 2), Gf2Vector(1, 1))
+X0X1 = Coset(2, Gf2Matrix.from_bits([0b01, 0b10], 2), Gf2Vector(2, 0b10))  # the point 10
+
+
+@pytest.mark.parametrize("spec, ess, want", [
+    # over-accepting: x1 = 1 also accepts the 0-inputs of and2
+    ("zoo:and:2", EssentialSet(1, (X1,)), {"x": 0, "y": 1, "output": 1, "expected": 0}),
+    # stated codimension 2, but the certificate sends 1 bit
+    ("zoo:dictator:2", EssentialSet(2, (X1,)), {"x": 0, "y": 1, "bits": 2, "cost": 3}),
+    # both faults at one pair: the output mismatch is reported
+    ("zoo:and:2", EssentialSet(2, (X1,)), {"x": 0, "y": 1, "output": 1, "expected": 0}),
+    # mixed codimensions: the second certificate sends 2 bits, not 1
+    ("zoo:or:2", EssentialSet(1, (X1, X0X1)), {"x": 0, "y": 2, "bits": 4, "cost": 3}),
+    # no certificates: every pair is rejected
+    ("tt:2:0110", EssentialSet(1, ()), {"x": 0, "y": 1, "output": 0, "expected": 1}),
+])
+def test_nondet_planted_faults_match_scalar_oracle(spec, ess, want):
+    f = parse_function_spec(spec)
+    assert nondet_violation(f, ess) == reference_nondet_violation(f, ess) == want
+    for xb in range(4):
+        for yb in range(4):
+            x, y = Gf2Vector(2, xb), Gf2Vector(2, yb)
+            assert nondet_protocol(f, ess, x, y) == reference_nondet_protocol(f, ess, x, y)
 
 
 def test_transcript_jsonable():
