@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-from .boolfn import BooleanFunction, _pack_table, restrict
+from .boolfn import BooleanFunction, _pack_table, _table_bits, restrict
 from .errors import DimensionError, DomainError
 from .gf2 import Coset, Gf2Vector, _rref_bits, _solve_bits, parity
-from .parity import ParityCertificate, _coset_classes, c1_xor, parity_certificate
+from .parity import ParityCertificate, _coset_classes, _cxor_scan
 
 __all__ = [
     "ParityOracle",
@@ -154,7 +154,8 @@ class EssentialSet:
 def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     """Deterministic essential set of 1-certificates of f.
 
-    Build one minimal certificate per 1-input (ascending), pad each to
+    Take each 1-input's minimal certificate (ascending), the witness of
+    parity_certificate, from one certificate scan; pad each to
     codimension c1_xor(f) with the least independent constraints the
     anchor satisfies, deduplicate, then drop members contained in the
     union of the rest (restarting the scan after each removal).
@@ -163,19 +164,18 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     budget.require("essential_set", n, "essential_certificate_set limited to arity")
     if f.table == 0:
         raise DomainError("essential set needs at least one 1-input")
-    d = c1_xor(f)
-    certs: list[Coset] = []
-    seen = set()
-    for xb in range(1 << n):
-        if not (f.table >> xb) & 1:
-            continue
-        rows = _pad_to_codim(parity_certificate(f, Gf2Vector(n, xb))[1].coset.constraints.row_bits, n, d)
+    profile, wit = _cxor_scan(n, f.table)
+    ones = np.flatnonzero(_table_bits(n, f.table)).tolist()
+    d = max(profile[xb] for xb in ones)
+    padded: dict[Coset, None] = {}
+    for xb in ones:
+        # on the identity frame the scan's RREF dual rows are the constraints
+        rows = _pad_to_codim(wit[xb, : profile[xb]].tolist(), n, d)
         # the anchor lies on the padded coset, so it fixes each rhs
         coset = _solve_bits(rows, [parity(w & xb) for w in rows], n)
         assert coset is not None and coset.codim == d
-        if coset not in seen:
-            seen.add(coset)
-            certs.append(coset)
+        padded[coset] = None
+    certs = list(padded)
     bitmaps = [_coset_bitmap(cs) for cs in certs]
     while (i := _first_redundant(bitmaps)) is not None:
         del certs[i]
@@ -183,10 +183,9 @@ def essential_certificate_set(f: BooleanFunction) -> EssentialSet:
     return EssentialSet(d, tuple(certs))
 
 
-def _pad_to_codim(rows: tuple[int, ...], n: int, d: int) -> list[int]:
+def _pad_to_codim(rows: list[int], n: int, d: int) -> list[int]:
     """Append the smallest constraint rows independent of ``rows`` until
     reaching codimension d."""
-    rows = list(rows)
     while len(rows) < d:
         for cand in range(1, 1 << n):
             red, _ = _rref_bits(rows + [cand], n)
@@ -204,22 +203,23 @@ def _coset_bitmap(cs: Coset) -> int:
 
 def _first_redundant(bitmaps: list[int]) -> int | None:
     """Index of the first bitmap covered by the union of the others, or None."""
-    for i, bm in enumerate(bitmaps):
-        others = 0
-        for j, other in enumerate(bitmaps):
-            if j != i:
-                others |= other
-        if bm & ~others == 0:
-            return i
-    return None
+    once = twice = 0
+    for bm in bitmaps:
+        once, twice = once | bm, twice | (once & bm)
+    # the others cover a member's bit when at least two members have it
+    return next((i for i, bm in enumerate(bitmaps) if bm & ~twice == 0), None)
 
 
 def verify_essential_set(f: BooleanFunction, ess: EssentialSet) -> None:
-    """Raise DomainError if ess is not a valid essential set for f."""
+    """Raise DimensionError if a certificate's width is not f's arity,
+    and DomainError if ess is not a valid essential set for f."""
+    if any(cs.ncols != f.arity for cs in ess.certificates):
+        raise DimensionError("certificate width differs from the function's")
     ones = f.table
     if ones == 0:
         raise DomainError("function has no 1-input")
     bitmaps = []
+    union = 0
     for cs in ess.certificates:
         if cs.codim != ess.codim:
             raise DomainError("certificate codimension differs from the set's")
@@ -227,8 +227,6 @@ def verify_essential_set(f: BooleanFunction, ess: EssentialSet) -> None:
         if bm & ~ones:
             raise DomainError("certificate contains a 0-input")
         bitmaps.append(bm)
-    union = 0
-    for bm in bitmaps:
         union |= bm
     if union & ones != ones:
         raise DomainError("uncovered 1-input")

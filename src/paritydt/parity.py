@@ -181,7 +181,7 @@ def _localize(f: BooleanFunction | RestrictedFunction) -> RestrictedFunction:
 # every table of dimension m <= DENSE_MAX_DIM reads its depth and
 # certificate profile from a table of all 2^(2^m) codes, built on first
 # use; the memo dicts hold larger dimensions
-_profile_cache: dict[tuple[int, int], bytes] = {}
+_profile_cache: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
 
 
 # the dual bases and class keys of every frame up to this dimension are
@@ -226,39 +226,50 @@ def _coset_classes(m: int, table: int, k: int) -> Iterator[tuple[np.ndarray, np.
         yield rows, key, count
 
 
-def _cxor_profile(m: int, table: int) -> bytes:
-    """Smallest certifying codimension for every local input at once.
+def _cxor_scan(m: int, table: int) -> tuple[bytes, np.ndarray]:
+    """Smallest certifying codimension k = profile[y] of every local
+    input y, with its witness rows[y, :k] (rows[y, k:] are 0): the dual
+    rows of the first frame, in _subspace_rows order, whose coset through
+    y is constant.  Memoized above DENSE_MAX_DIM.
 
-    For each codimension k (increasing) and each frame, mark the inputs
-    whose coset is constant; the first k that covers an input is its
-    certificate size, and the point cosets at k = m cover the rest.
+    Codimension by codimension, mark the inputs whose coset in some frame
+    is constant; the point cosets at k = m cover the rest.
     """
-    if m <= DENSE_MAX_DIM:
-        return _dense_profile(m)[table].tobytes()
-    cached = _profile_cache.get((m, table))
+    memo = _profile_cache if m > DENSE_MAX_DIM else {}
+    cached = memo.get((m, table))
     if cached is not None:
         return cached
     size = 1 << m
     out = np.full(size, m, dtype=np.uint8)
+    wit = np.zeros((size, m), dtype=np.min_scalar_type(size - 1))
     remaining = np.ones(size, dtype=bool)
-    for k in range(m):
-        for _rows, key, count in _coset_classes(m, table, k):
-            const = (count == 0) | (count == size >> k)
-            cover = np.take_along_axis(const, key, axis=1).any(axis=0)
-            out[cover & remaining] = k
-            remaining &= ~cover
-            if not remaining.any():
-                break
+    chunks = ((k, chunk) for k in range(m) for chunk in _coset_classes(m, table, k))
+    for k, (rows, key, count) in chunks:
+        const = (count == 0) | (count == size >> k)
+        hit = np.take_along_axis(const, key, axis=1)
+        new = hit.any(axis=0) & remaining
+        out[new] = k
+        # no earlier frame covers the new inputs, so their first hit in
+        # this chunk is their first certifying frame
+        wit[new, :k] = rows[hit[:, new].argmax(axis=0)]
+        remaining &= ~new
         if not remaining.any():
             break
-    _profile_cache[(m, table)] = res = out.tobytes()
+    wit[remaining] = 1 << np.arange(m)
+    wit.setflags(write=False)
+    memo[(m, table)] = res = (out.tobytes(), wit)
     return res
+
+
+def _cxor_profile(m: int, table: int) -> bytes:
+    """_cxor_scan's profile, read from the dense table up to DENSE_MAX_DIM."""
+    return _dense_profile(m)[table].tobytes() if m <= DENSE_MAX_DIM else _cxor_scan(m, table)[0]
 
 
 @lru_cache(maxsize=DENSE_MAX_DIM + 1)
 def _dense_profile(m: int) -> np.ndarray:
-    """_cxor_profile of every table of dimension m, one uint8 row per
-    table (1 MiB at m = 4): the same scan, run on many tables at once,
+    """_cxor_scan's profile of every table of dimension m, one uint8 row
+    per table (1 MiB at m = 4): the same scan, run on many tables at once,
     with each direction space's constancy mask ORed into one cover."""
     out = np.zeros((1 << (1 << m), 1 << m), dtype=np.uint8)
     # every point coset is constant, so codimension m covers what is left
@@ -286,29 +297,19 @@ def parity_certificate(
 ) -> tuple[int, ParityCertificate]:
     """Smallest-codimension coset through x on which f is constant.
 
-    The size is the profile's; the witness is the first frame of that
-    codimension, in canonical dual subspace order, whose coset through x
-    is constant, expressed as an ambient coset whose codimension equals
-    the certificate size.
+    The size and the witness frame are _cxor_scan's; the witness is
+    expressed as an ambient coset whose codimension equals the size.
     """
     rf = _localize(f)
-    m = rf.local.arity
     budget.require("parity_certificate", rf.ambient.ncols, "parity_certificate limited to ambient arity")
     y = local_point(rf, x)
-    table = rf.local.table
-    k = _cxor_profile(m, table)[y]
-    for rows, key, count in _coset_classes(m, table, k):
-        # the 1-count of y's class in each frame
-        at_y = count[np.arange(len(rows)), key[:, y]]
-        hit = (at_y == 0) | (at_y == 1 << (m - k))
-        if hit.any():
-            wrows = [int(w) for w in rows[np.argmax(hit)]]
-            # the lifted coset passes through x, so x fixes each rhs
-            cons = [rf.lift_form(w)[0] for w in wrows]
-            coset = _solve_bits(cons, [parity(c & x.bits) for c in cons], rf.ambient.ncols)
-            assert coset is not None and coset.codim == k, "lifted constraints stay independent"
-            return k, ParityCertificate(coset, (table >> y) & 1)
-    raise AssertionError("unreachable: the profile names a certifying codimension")
+    profile, wit = _cxor_scan(rf.local.arity, rf.local.table)
+    k = profile[y]
+    # the lifted coset passes through x, so x fixes each rhs
+    cons = [rf.lift_form(w)[0] for w in wit[y, :k].tolist()]
+    coset = _solve_bits(cons, [parity(c & x.bits) for c in cons], rf.ambient.ncols)
+    assert coset is not None and coset.codim == k, "lifted constraints stay independent"
+    return k, ParityCertificate(coset, (rf.local.table >> y) & 1)
 
 
 def cxor_profile(f: BooleanFunction | RestrictedFunction) -> bytes:

@@ -1,9 +1,12 @@
 import functools
+import hashlib
+import json
 import random
 
 import pytest
 
 from paritydt import certify, gf2
+from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, as_restricted, parse_function_spec, restrict
 from paritydt.certify import (
     EssentialSet,
@@ -245,6 +248,58 @@ def test_verify_rejects_bad_sets():
     dup = EssentialSet(ess3.codim, ess3.certificates + ess3.certificates)
     with pytest.raises(DomainError):  # duplicate member is redundant
         verify_essential_set(parse_function_spec("zoo:and:2"), dup)
+
+
+def test_verify_rejects_certificates_of_another_width():
+    # a 1-column coset whose bitmap equals the 2-bit table's 1-inputs
+    f = BooleanFunction.from_table_string("0100")
+    one = Coset(1, Gf2Matrix.from_bits([1], 1), Gf2Vector(1, 1))
+    with pytest.raises(DimensionError):
+        verify_essential_set(f, EssentialSet(1, (one,)))
+    # a 3-column coset against a 2-bit function is a width error, not a 0-input
+    wide = Coset(3, Gf2Matrix.from_bits([0b011, 0b100], 3), Gf2Vector(2, 0b11))
+    with pytest.raises(DimensionError):
+        verify_essential_set(parse_function_spec("zoo:and:2"), EssentialSet(2, (wide,)))
+
+
+@pytest.mark.parametrize("n,seed", [(4, 11), (6, 12)])
+def test_essential_set_scans_once(monkeypatch, n, seed):
+    # one certificate scan per function, and within it each codimension's
+    # frames once; the empty memo makes the n = 6 scan run
+    monkeypatch.setattr(parity_mod, "_profile_cache", {})
+    scans, classes = [], []
+    scan, coset_classes = parity_mod._cxor_scan, parity_mod._coset_classes
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    def counted_classes(*args):
+        classes.append(args)
+        return coset_classes(*args)
+
+    for mod in (parity_mod, certify):
+        monkeypatch.setattr(mod, "_cxor_scan", counted_scan)
+    monkeypatch.setattr(parity_mod, "_coset_classes", counted_classes)
+    f = BooleanFunction(n, random.Random(seed).getrandbits(1 << n) | 1)
+    ess = essential_certificate_set(f)
+    verify_essential_set(f, ess)
+    assert scans == [(n, f.table)]
+    assert len(classes) == len(set(classes)) >= 1
+
+
+@pytest.mark.parametrize(
+    "f,codim,size,digest",
+    [
+        (BooleanFunction(8, random.Random(0).getrandbits(256)), 5, 29, "fe4c9491f214598f"),
+        (parse_function_spec("anf:8:x1*x2+x3*x4+x5*x6+x7*x8"), 5, 28, "d2858a2816721cd6"),
+    ],
+    ids=["random", "ip4"],
+)
+def test_essential_set_n8_regression(f, codim, size, digest):
+    ess = essential_certificate_set(f)
+    assert (ess.codim, ess.size) == (codim, size)
+    assert hashlib.sha256(json.dumps(ess.to_jsonable(), sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
 def test_essential_set_zero_function():

@@ -269,6 +269,20 @@ def test_verify_leaves_no_small_dimension_memo_entries(capsys):
     assert not [key for memo in memos for key in memo if key[0] <= parity.DENSE_MAX_DIM]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--measures", "cxor,c0xor,c1xor"], ["comm", "--protocol", "nondet", "--sweep"]],
+    ids=["measure", "comm"],
+)
+def test_certificate_witnesses_leave_no_small_dimension_profile_entries(capsys, argv):
+    # below the dense tables' dimension the witness scan runs unmemoized
+    before = set(parity._profile_cache)
+    code = run(argv[:1] + ["--fn", "tt:4:0110100110110001"] + argv[1:])
+    capsys.readouterr()
+    assert code == 0
+    assert not [key for key in set(parity._profile_cache) - before if key[0] <= parity.DENSE_MAX_DIM]
+
+
 def test_verify_zoo_family(capsys):
     code, got = run_json(capsys, ["verify", "--family", "zoo:all:3", "--theorems", "eq1"])
     assert code == 0

@@ -510,20 +510,22 @@ def test_frame_keys_kept_up_to_six_then_streamed():
 
 
 def test_certificate_first_frame_past_chunk(monkeypatch):
-    # 7 frames a chunk; the profile memo starts empty, so every profile
-    # runs the kernel under the small chunks
+    # 7 frames a chunk; the profile memo starts empty, so every scan runs
+    # the kernel under the small chunks, and at m = 4 it is never memoized
     monkeypatch.setattr(parity_mod, "_profile_cache", {})
     rnd = random.Random(77)
-    late = 0
-    for m in (5, 5, 5, 5, 6):
+    late = dict.fromkeys((4, 5, 6), 0)
+    for m in (5, 5, 5, 5, 6, 4, 4, 4):
         monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << m)
         f = BooleanFunction(m, rnd.getrandbits(1 << m))
         _assert_certificates_match_reference(f)
         for y in range(1 << m):
             k, cert = parity_certificate(f, Gf2Vector(m, y))
             # on the identity frame the witness rows are the frame's own
-            late += list(_subspace_rows(m, k)).index(cert.coset.constraints.row_bits) >= 7
-    assert late  # some first certifying frames lie past the first chunk
+            index = list(_subspace_rows(m, k)).index(cert.coset.constraints.row_bits)
+            late[m] += index >= 7
+    # some first certifying frames lie past the first chunk, memoized or not
+    assert late[4] and late[5] + late[6]
 
 
 # ---------------------------------------------------------------------------
