@@ -292,6 +292,17 @@ def _dense_profile(m: int) -> np.ndarray:
     return out
 
 
+def _dense_measures(m: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(D⊕, C0⊕, C1⊕, C⊕) of every table in a uint16 array of dimension-m
+    codes, read from the dense tables; C0⊕ (C1⊕) is 0 for a table with no
+    0-input (1-input)."""
+    d = _dense_depth(m)[0][tables]
+    p = _dense_profile(m)[tables]
+    codes = tables.astype("<u2").view(np.uint8).reshape(-1, 2)
+    ones = np.unpackbits(codes, axis=1, bitorder="little")[:, :1 << m]
+    return d, np.where(ones, 0, p).max(1), np.where(ones, p, 0).max(1), p.max(1)
+
+
 def parity_certificate(
     f: BooleanFunction | RestrictedFunction, x: Gf2Vector
 ) -> tuple[int, ParityCertificate]:

@@ -4,7 +4,9 @@ Each theorem is a predicate on one function (and the family seed) that
 returns a violation record, or None when the function satisfies the
 statement.  One driver sweeps a predicate over a family, counts the
 instances, keeps the first few violations, and can split the family
-across worker processes.
+across worker processes.  A theorem may also carry an array screen that
+reads its measures for many small tables at once from the dense tables;
+the predicate then runs only on the tables the screen flags.
 """
 
 from __future__ import annotations
@@ -12,14 +14,15 @@ from __future__ import annotations
 import os
 import random
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, classical, comm, construct, parity
+from . import budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, fourier, restrict, shift
+from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
 from .gf2 import Coset, Gf2Matrix, Gf2Vector, _row_chunks, _sample_gl_rows, parity as bit_parity
 
@@ -76,14 +79,14 @@ def parse_family(text: str) -> Family:
     )
 
 
-def _family_tables(fam: Family) -> list[int]:
+def _family_tables(fam: Family) -> Sequence[int]:
     size = 1 << fam.n
     if fam.kind == "exhaustive":
         if fam.n > 4:
             raise BudgetExceededError(
                 f"exhaustive families materialize 2^(2^n) functions; limited to n <= 4, got {fam.n}"
             )
-        return list(range(1 << size))
+        return range(1 << size)
     if fam.kind == "random":
         rnd = random.Random(fam.seed)
         return [rnd.getrandbits(size) for _ in range(fam.count or 0)]
@@ -129,6 +132,16 @@ def _thm1(f: BooleanFunction, seed: int) -> dict | None:
     return None
 
 
+def _thm1_screen(n: int, tables: np.ndarray) -> np.ndarray:
+    """_thm1's violators among dimension-n codes, from the dense tables."""
+    nonconstant = (tables != 0) & (tables != (1 << (1 << n)) - 1)
+    # the predicate measures no constant table, so it cannot refuse one
+    if nonconstant.any():
+        budget.require("parity_depth", n, "parity_depth limited to ambient arity")
+    d, z, o, _ = parity._dense_measures(n, tables)
+    return nonconstant & (d > z * o)
+
+
 def _thm2(f: BooleanFunction, seed: int) -> dict | None:
     """bs+(f) <= C+(f) <= bs+(f)^2."""
     b, cv = parity.parity_bs(f)[0], parity.c_xor(f)
@@ -143,6 +156,13 @@ def _prop_cd(f: BooleanFunction, seed: int) -> dict | None:
     if cv > d:
         return {"function": f.spec, "cxor": cv, "dxor": d}
     return None
+
+
+def _prop_cd_screen(n: int, tables: np.ndarray) -> np.ndarray:
+    """_prop_cd's violators among dimension-n codes, from the dense tables."""
+    budget.require("parity_certificate", n, "parity certificate aggregates limited to ambient arity")
+    d, _, _, cv = parity._dense_measures(n, tables)
+    return cv > d
 
 
 def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
@@ -283,7 +303,9 @@ class Theorem:
     """A predicate with the arity limits its searches can afford.
 
     ``instance``, when set, is a fixed function checked instead of the
-    family's members.
+    family's members.  ``screen``, when set, maps a uint16 array of codes
+    of dimension n <= DENSE_MAX_DIM to a mask that holds at least where
+    ``check`` finds a violation; the sweep runs ``check`` only there.
     """
 
     check: Callable[[BooleanFunction, int], dict | None]
@@ -291,14 +313,15 @@ class Theorem:
     max_n: int
     constraint: str
     instance: BooleanFunction | None = None
+    screen: Callable[[int, np.ndarray], np.ndarray] | None = None
 
 
 THEOREMS: dict[str, Theorem] = {
     "eq1": Theorem(_eq1, 4, 8, "decision tree depth search"),
     "eq2": Theorem(_eq2, 4, 8, "block sensitivity packing search"),
-    "thm1": Theorem(_thm1, 4, 6, "parity tree depth search"),
+    "thm1": Theorem(_thm1, 4, 6, "parity tree depth search", screen=_thm1_screen),
     "thm2": Theorem(_thm2, 3, 4, "exact parity block sensitivity (full coset and basis enumeration)"),
-    "prop-cd": Theorem(_prop_cd, 4, 6, "parity tree depth search"),
+    "prop-cd": Theorem(_prop_cd, 4, 6, "parity tree depth search", screen=_prop_cd_screen),
     "eq-coplusc": Theorem(_eq_coplusc, 3, 4, "full GL(n,2) certificate sweep per function"),
     "monotone": Theorem(_monotone, 3, 4, "exact parity block sensitivity on every coset restriction"),
     "invariance": Theorem(_invariance, 3, 4, "exact parity block sensitivity per transformed function"),
@@ -354,14 +377,27 @@ def _check_budgets(fam: Family, theorems: list[str]) -> None:
             )
 
 
-def _sweep(job: tuple[str, int, list[int], int, int]) -> list[tuple[int, dict]]:
+def _candidates(th: Theorem, n: int, tables: Sequence[int], start: int) -> Iterator[tuple[int, int]]:
+    """(family index, table) of every table ``th.check`` must see: all of
+    them, or up to DENSE_MAX_DIM those its screen flags, screened 4096
+    at a time."""
+    if th.screen is None or n > DENSE_MAX_DIM:
+        yield from enumerate(tables, start)
+        return
+    for lo in range(0, len(tables), 4096):
+        flagged = th.screen(n, np.array(tables[lo:lo + 4096], dtype=np.uint16))
+        for j in np.flatnonzero(flagged).tolist():
+            yield start + lo + j, tables[lo + j]
+
+
+def _sweep(job: tuple[str, int, Sequence[int], int, int]) -> list[tuple[int, dict]]:
     """(family index, violation) pairs of one theorem over the tables
     that start at family index ``start``; stops at the violation cap."""
     theorem, n, tables, seed, start = job
-    check = THEOREMS[theorem].check
+    th = THEOREMS[theorem]
     viol = []
-    for i, t in enumerate(tables, start):
-        v = check(BooleanFunction(n, t), seed)
+    for i, t in _candidates(th, n, tables, start):
+        v = th.check(BooleanFunction(n, t), seed)
         if v is not None:
             viol.append((i, v))
             if len(viol) >= _VIOLATION_CAP:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 
@@ -415,6 +416,56 @@ def test_verify_threads_count_instances_like_serial(capsys, monkeypatch, inline_
     r = serial["results"][0]
     assert r["instances"] == 13
     assert [v["function"] for v in r["violations"]] == [BooleanFunction(3, t).spec for t in range(0, 13, 3)]
+
+
+@pytest.fixture
+def planted_depth(monkeypatch):
+    """Every 4-bit table t with t % 7 == 0 reads a wrong D⊕ from the dense
+    depth table: one more at odd t (thm1 fails where it was tight), one
+    less at even t (prop-cd fails where C⊕ = D⊕)."""
+    real = parity._dense_depth
+    real.cache_clear()
+    depth, query = real(4)
+    bad = depth.copy()
+    bad[::14] -= 1
+    bad[7::14] += 1
+    bad.setflags(write=False)
+    monkeypatch.setattr(parity, "_dense_depth", lambda m: (bad, query) if m == 4 else real(m))
+    yield
+    real.cache_clear()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_verify_screen_keeps_planted_violations(capsys, monkeypatch, inline_pool, planted_depth, threads):
+    argv = ["verify", "--family", "exhaustive:4", "--theorems", "thm1,prop-cd"]
+    scalar_checks = {th: theorems.THEOREMS[th].check for th in ("thm1", "prop-cd")}
+    calls = dict.fromkeys(scalar_checks, 0)
+
+    def counted(name):
+        def check(f, seed):
+            calls[name] += 1
+            return scalar_checks[name](f, seed)
+        return check
+
+    for th in scalar_checks:
+        monkeypatch.setitem(theorems.THEOREMS, th, dataclasses.replace(theorems.THEOREMS[th], check=counted(th)))
+    code, screened = run_json(capsys, argv)
+    assert code == 1
+    # the screen passes on exactly the violators, up to the cap
+    assert calls == {"thm1": 5, "prop-cd": 5}
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: threads)
+    code, chunked = run_json(capsys, argv + ["--threads", str(threads)])
+    assert code == 1 and inline_pool == [threads, threads]
+    for th in scalar_checks:
+        monkeypatch.setitem(theorems.THEOREMS, th, dataclasses.replace(theorems.THEOREMS[th], screen=None))
+    code, scalar = run_json(capsys, argv)
+    assert code == 1
+    assert strip_runtimes(screened) == strip_runtimes(scalar) == strip_runtimes(chunked)
+    for r in screened["results"]:
+        check = scalar_checks[r["theorem"]]
+        bad = list(itertools.islice((t for t in range(1 << 16) if check(BooleanFunction(4, t), 0)), 5))
+        assert [v["function"] for v in r["violations"]] == [BooleanFunction(4, t).spec for t in bad]
+        assert r["instances"] == bad[-1] + 1
 
 
 def test_verify_reports_violations(capsys, monkeypatch):

@@ -1,9 +1,12 @@
 """Static checks on the package sources: every top-level import is used,
-every name a module exports in ``__all__`` exists, and no function cache
-is unbounded."""
+every name a module exports in ``__all__`` exists, no function cache is
+unbounded, and importing the CLI builds no dense table."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,15 @@ def test_unbounded_cache_is_reported():
 def test_unused_import_is_reported():
     source = "from .errors import BudgetExceededError, DomainError\nimport numpy as np\n\nraise DomainError\n"
     assert unused_imports(source) == ["BudgetExceededError (line 1)", "np (line 2)"]
+
+
+def test_cli_import_builds_no_dense_table():
+    # the dense tables are built on first use, so importing the CLI stays cheap
+    code = (
+        "import paritydt.cli\n"
+        "from paritydt import parity\n"
+        "print(parity._dense_depth.cache_info().currsize, parity._dense_profile.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
