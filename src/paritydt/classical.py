@@ -425,6 +425,16 @@ def _gl_chunks(n: int) -> Iterator[np.ndarray]:
     return _row_chunks(_gl_rows(n), n)
 
 
+def _distinct_tables(bits: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """(tables, inverse): the table whose bit j is bits[idx[i, j]] is
+    tables[inverse[i]], each distinct table listed once, in increasing
+    order of its packed bytes."""
+    packed = np.packbits(bits[idx], axis=1, bitorder="little")
+    # as one void item each, rows sort as with axis=0, about 3x faster
+    distinct, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_inverse=True)
+    return [int.from_bytes(t.tobytes(), "little") for t in distinct], inverse
+
+
 def _rotations(
     f: BooleanFunction, chunks: Iterable[np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int], np.ndarray]]:
@@ -434,10 +444,7 @@ def _rotations(
     bits = _table_bits(f.arity, f.table)
     for rows in chunks:
         img = _images(rows, f.arity)
-        packed = np.packbits(bits[img], axis=1, bitorder="little")
-        distinct, inverse = np.unique(packed, axis=0, return_inverse=True)
-        tables = [int.from_bytes(t.tobytes(), "little") for t in distinct]
-        yield rows, img, tables, inverse.reshape(-1)
+        yield rows, img, *_distinct_tables(bits, img)
 
 
 def _min_over(measure: str, f: BooleanFunction, chunks: Iterable[np.ndarray]) -> tuple[int, Gf2Matrix]:

@@ -31,7 +31,6 @@ __all__ = [
     "Coset",
     "parity",
     "solve",
-    "dual_frames",
     "enumerate_gl",
     "sample_gl",
     "subspace_count",
@@ -503,14 +502,6 @@ def _subspace_rows(n: int, dim: int) -> Iterator[tuple[int, ...]]:
         ]
         for rows in itertools.product(*choices):
             yield rows[::-1]
-
-
-def dual_frames(m: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(dual basis rows, direction basis rows) of every codimension-k
-    subspace of {0,1}^m, the dual spaces in _subspace_rows order, so
-    scans in this order are canonical."""
-    for wrows in _subspace_rows(m, k):
-        yield wrows, tuple(_kernel_bits(wrows, m))
 
 
 def _gl_rows(n: int) -> Iterator[tuple[int, ...]]:

@@ -10,6 +10,7 @@ enumeration order within, so witnesses are reproducible.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +28,7 @@ from .boolfn import (
     local_point,
     restrict,
 )
-from .classical import DENSE_MAX_DIM, _aggregate, _code_marks, _packing_dp, _packing_table
+from .classical import DENSE_MAX_DIM, _aggregate, _code_marks, _distinct_tables, _packing_dp, _packing_table
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
@@ -43,7 +44,6 @@ from .gf2 import (
     _span_order,
     _spans,
     _subspace_rows,
-    dual_frames,
     parity,
 )
 
@@ -273,14 +273,14 @@ def _dense_profile(m: int) -> np.ndarray:
     with each direction space's constancy mask ORed into one cover."""
     out = np.zeros((1 << (1 << m), 1 << m), dtype=np.uint8)
     # every point coset is constant, so codimension m covers what is left
-    frames = [tuple(dual_frames(m, k)) for k in range(m)]
+    directions = [tuple(_subspace_rows(m, m - k)) for k in range(m)]
     # in chunks of 4096 tables, so the temporaries stay small
     for start in range(0, len(out), 4096):
         rows = out[start:start + 4096]
         tables = np.arange(start, start + len(rows), dtype=np.uint16)
         cover = np.zeros_like(tables)
         for k in range(m):
-            for _wrows, vrows in frames[k]:
+            for vrows in directions[k]:
                 or_t, and_t = tables.copy(), tables.copy()
                 for v in vrows:
                     or_t |= _table_xor_translate(or_t, m, v)
@@ -446,18 +446,17 @@ def _dxor(m: int, table: int) -> tuple[int, int | None]:
     return best, best_w
 
 
+# trees are immutable, so a rebuilt subtree is shared by every tree above it
+@lru_cache(maxsize=1 << 12)
 def _rebuild_tree(m: int, table: int) -> ParityDecisionTree:
     d, w = _dxor(m, table)
     if d == 0:
         return ParityLeaf(table & 1)
     f = BooleanFunction(m, table)
     query = Gf2Matrix.from_bits([w], m)
-    # each answer's restriction, in its canonical frame, has the table
-    # _split_frames gathers
+    # each answer's canonical restriction has the table _split_frames gathers
     halves = [restrict(f, Coset(m, query, Gf2Vector(1, b))) for b in (0, 1)]
-    return ParityQuery(
-        Gf2Vector(m, w), *(_to_ambient(_rebuild_tree(m - 1, rf.local.table), rf) for rf in halves)
-    )
+    return ParityQuery(Gf2Vector(m, w), *(_to_ambient(_rebuild_tree(m - 1, rf.local.table), rf) for rf in halves))
 
 
 def parity_depth(f: BooleanFunction | RestrictedFunction) -> tuple[int, ParityDecisionTree]:
@@ -657,32 +656,33 @@ def wbs_xor(f: BooleanFunction | RestrictedFunction) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _coset_scan(n: int) -> tuple[tuple[Coset, int, tuple[int, ...]], ...]:
-    """Every coset of {0,1}^n in parity_bs scan order, the full space
-    first: decreasing dimension, direction spaces in dual_frames order,
-    increasing rhs; each with its dimension and its members in restrict's
-    canonical frame order."""
+def _coset_scan(n: int) -> tuple[tuple[int, tuple[Coset, ...], np.ndarray], ...]:
+    """Every coset of {0,1}^n in parity_bs scan order: one (dim, cosets,
+    members) group per dimension from n down, direction spaces in
+    _subspace_rows order, then rhs increasing; members[i] lists cosets[i]
+    in restrict's canonical frame order."""
     out = []
     for dim in range(n, -1, -1):
-        # a frame's dual rows span a dim-dimensional space, here the
-        # direction, and its direction rows the constraints
-        for _vrows, crows in dual_frames(n, dim):
-            for rhs in range(1 << len(crows)):
-                coset = Coset(n, Gf2Matrix.from_bits(crows, n), Gf2Vector(len(crows), rhs))
-                out.append((coset, dim, tuple(coset.member_bits())))
+        # each direction space's orthogonal complement spans the constraints
+        cons = [Gf2Matrix.from_bits(_kernel_bits(v, n), n) for v in _subspace_rows(n, dim)]
+        cosets = tuple(Coset(n, c, Gf2Vector(c.nrows, r)) for c in cons for r in range(1 << c.nrows))
+        members = np.array([h.member_bits() for h in cosets], dtype=np.min_scalar_type((1 << n) - 1))
+        members.setflags(write=False)
+        out.append((dim, cosets, members))
     return tuple(out)
 
 
-def _max_over_cosets(f: BooleanFunction, cosets: Iterable[tuple[Coset, int, Sequence[int]]]) -> tuple[int, Coset]:
-    """The largest wbs_xor of f's restrictions to ``cosets`` (each with its
-    dimension and its members in frame order), with the first coset
-    reaching it."""
-    best = -1
-    witness = None
-    for coset, dim, pts in cosets:
-        v = _wbs_aggregate(dim, _gather(f.table, pts))
-        if v > best:
-            best, witness = v, coset
+def _max_over_cosets(f: BooleanFunction, scan: Iterable[tuple[int, Sequence[Coset], np.ndarray]]) -> tuple[int, Coset]:
+    """The largest wbs_xor of f's restrictions to the cosets of ``scan``
+    (groups as _coset_scan gives them), with the first coset reaching it."""
+    bits = _table_bits(f.arity, f.table)
+    best, witness = -1, None
+    for dim, cosets, members in scan:
+        tables, inverse = _distinct_tables(bits, members)
+        vals = np.array([_wbs_aggregate(dim, t) for t in tables])[inverse]
+        i = int(vals.argmax())
+        if vals[i] > best:
+            best, witness = int(vals[i]), cosets[i]
             if best == f.arity:
                 break
     return best, witness
@@ -702,8 +702,6 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
 def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int, Coset]:
     """Seeded sampled variant; the result is an estimate (a lower bound
     of the true maximum, from the cosets tried)."""
-    import random
-
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     n = f.arity
@@ -712,8 +710,7 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
     # cap and within the block bitmaps
     max_dim = min(budget.current.get().weak_parity_bs, BITMAP_MAX_DIM)
     rnd = random.Random(seed)
-    full = Coset.full_space(n)
-    candidates = [full] if n <= max_dim else []
+    candidates = [Coset.full_space(n)] if n <= max_dim else []
     while len(candidates) < samples:
         dim = rnd.randint(0, min(n, max_dim))
         rows = []
@@ -724,8 +721,6 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
             if red:
                 rows.append(v)
                 ech.append(red)
-        rhs = [rnd.getrandbits(1) for _ in rows]
-        coset = _solve_bits(rows, rhs, n)
-        if coset is not None:
-            candidates.append(coset)
-    return _max_over_cosets(f, ((h, h.dim, h.member_bits()) for h in candidates))
+        # independent rows are consistent with any rhs
+        candidates.append(_solve_bits(rows, [rnd.getrandbits(1) for _ in rows], n))
+    return _max_over_cosets(f, ((h.dim, (h,), np.array([h.member_bits()])) for h in candidates))

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget, certify, classical, comm, construct, parity
-from .boolfn import BooleanFunction, fourier, restrict, shift
+from .boolfn import BooleanFunction, _table_bits, fourier, restrict, shift
 from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _row_chunks, _sample_gl_rows, parity as bit_parity
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _parities, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "Family",
@@ -186,15 +186,17 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
 def _monotone(f: BooleanFunction, seed: int) -> dict | None:
     """C+ and bs+ do not grow under restriction to a coset."""
     cx, bx = parity.c_xor(f), parity.parity_bs(f)[0]
-    # the scan's first coset is the full space
-    for h, _, _ in parity._coset_scan(f.arity)[1:]:
-        rf = restrict(f, h)
-        crf = parity.c_xor(rf)
-        brf = parity.parity_bs(rf.local)[0]
-        if crf > cx or brf > bx:
-            return {"function": f.spec, "coset": h.to_jsonable(),
-                    "cxor": cx, "cxor_restricted": crf,
-                    "bsxor": bx, "bsxor_restricted": brf}
+    bits = _table_bits(f.arity, f.table)
+    # the scan's first group is the full space alone
+    for dim, cosets, members in parity._coset_scan(f.arity)[1:]:
+        tables, inverse = classical._distinct_tables(bits, members)
+        measured = [(parity.c_xor(g), parity.parity_bs(g)[0]) for g in (BooleanFunction(dim, t) for t in tables)]
+        for h, j in zip(cosets, inverse.tolist()):
+            crf, brf = measured[j]
+            if crf > cx or brf > bx:
+                return {"function": f.spec, "coset": h.to_jsonable(),
+                        "cxor": cx, "cxor_restricted": crf,
+                        "bsxor": bx, "bsxor_restricted": brf}
     return None
 
 
@@ -255,13 +257,17 @@ def _thmnc_cost(f: BooleanFunction, seed: int) -> dict | None:
 
 def _lemma_exp(f: BooleanFunction, seed: int) -> dict | None:
     """Wherever f is linear on a coset, C(f) and D(f) are at least tau."""
-    n, t = f.arity, f.table
+    n = f.arity
     cf, df = classical.c(f), classical.decision_depth(f)[0]
+    bits, par = _table_bits(n, f.table), _parities(n)
     first = True
-    for h, _, members in parity._coset_scan(n):
-        for s in range(1 << n):
-            if any(((t >> x) & 1) != bit_parity(x & s) for x in members):
-                continue
+    for _, cosets, members in parity._coset_scan(n):
+        forms = np.arange(1 << n, dtype=members.dtype)
+        # linear[i, s]: f(x) = <x, s> at every member x of cosets[i]
+        linear = (bits[members][:, None, :] == par[members[:, None, :] & forms[:, None]]).all(axis=2)
+        # argwhere is row-major: coset by coset, s ascending within each
+        for i, s in np.argwhere(linear).tolist():
+            h = cosets[i]
             if first:
                 # route one instance per function through the full checker
                 r = construct.check_linear_on_coset_bound(f, h, Gf2Vector(n, s))

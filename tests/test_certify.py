@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from frame_oracle import dual_frames
 from paritydt import certify, gf2
 from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, as_restricted, parse_function_spec, restrict
@@ -16,7 +17,7 @@ from paritydt.certify import (
     verify_essential_set,
 )
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
-from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, _subspace_rows, dual_frames, parity, solve
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, _subspace_rows, parity, solve
 from paritydt.parity import c0_xor, c1_xor, parity_certificate
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -464,3 +465,35 @@ def test_symmetrized_refusals_unchanged():
     with budget.extended(6):
         with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
             symmetrized("d", BooleanFunction(6, 0x1234))
+
+
+def reference_distinct_tables(bits, idx):
+    """The row dedupe _distinct_tables replaced: np.unique along axis 0."""
+    packed = np.packbits(bits[idx], axis=1, bitorder="little")
+    distinct, inverse = np.unique(packed, axis=0, return_inverse=True)
+    return [int.from_bytes(t.tobytes(), "little") for t in distinct], inverse.reshape(-1)
+
+
+# points per row: 1 to 4096, packed into 1, 2, 4, 8 and 512 bytes (the
+# last is a 12-bit table, as sampled_symmetrized gathers at n = 12)
+@pytest.mark.parametrize("points", [1, 2, 4, 8, 16, 32, 64, 4096])
+def test_distinct_tables_match_axis_unique(points):
+    rnd = np.random.default_rng(points)
+    n = max(points.bit_length() - 1, 1)
+    for rows in (1, 2, 50, 300):
+        bits = rnd.integers(0, 2, 1 << n, dtype=np.uint8)
+        idx = rnd.integers(0, 1 << n, (rows, points))
+        # repeat some rows, so the dedupe has work to do
+        idx[rows // 2:] = idx[: rows - rows // 2]
+        tables, inverse = classical._distinct_tables(bits, idx)
+        want_tables, want_inverse = reference_distinct_tables(bits, idx)
+        assert tables == want_tables and all(type(t) is int for t in tables)
+        assert inverse.shape == (rows,) and (inverse == want_inverse).all()
+        # each table is the packed gather of its row
+        for i in range(rows):
+            assert tables[inverse[i]] == sum(int(bits[p]) << j for j, p in enumerate(idx[i]))
+    # a single row, and rows that are all equal
+    bits = np.ones(1 << n, dtype=np.uint8)
+    for idx in (np.zeros((1, points), dtype=np.intp), np.zeros((5, points), dtype=np.intp)):
+        tables, inverse = classical._distinct_tables(bits, idx)
+        assert tables == [(1 << points) - 1] and inverse.tolist() == [0] * len(idx)

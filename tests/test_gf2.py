@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frame_oracle import dual_frames
 from paritydt import gf2
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
 from paritydt.gf2 import (
@@ -18,7 +19,6 @@ from paritydt.gf2 import (
     _span_order,
     _spans,
     _subspace_rows,
-    dual_frames,
     enumerate_gl,
     gl_order,
     parity,
@@ -187,7 +187,7 @@ def test_enumerate_subspaces_complete(n, d):
 
 
 def reference_enumerate_subspaces(n, d):
-    """The per-frame enumeration dual_frames replaced: pivot patterns in
+    """The per-frame enumeration _subspace_rows replaced: pivot patterns in
     lexicographic order, then one binary counter over all free entries,
     row by row; each subspace as its RREF basis rows."""
     for pivots in itertools.combinations(range(n), d):
@@ -214,13 +214,14 @@ def test_dual_frames_match_subspace_construction(m):
 
 
 def test_dual_frames_streamed():
-    # no search rescans the frames, so none are kept at any dimension
-    assert dual_frames(6, 3) is not dual_frames(6, 3)
-    frames = dual_frames(7, 6)
+    # the subspaces are streamed, so none are kept at any dimension
+    assert _subspace_rows(6, 3) is not _subspace_rows(6, 3)
+    frames = _subspace_rows(7, 6)
     assert not isinstance(frames, tuple)
-    w, v = next(iter(frames))
-    assert w == (0b1, 0b10, 0b100, 0b1000, 0b10000, 0b100000) and v == (0b1000000,)
-    assert v == tuple(_kernel_bits(w, 7))
+    w = next(iter(frames))
+    assert w == (0b1, 0b10, 0b100, 0b1000, 0b10000, 0b100000)
+    # the first frame's orthogonal complement is the last coordinate
+    assert next(dual_frames(7, 6)) == (w, (0b1000000,))
 
 
 def test_enumerate_subspaces_refuses_before_yielding():

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frame_oracle import dual_frames
 from packing_oracle import reference_max_packing
 
-from paritydt import budget, classical, gf2
+from paritydt import budget, classical, construct, gf2
 from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, _table_xor_translate, local_point, parse_function_spec, restrict
 from paritydt.errors import BudgetExceededError, DomainError
@@ -22,7 +25,6 @@ from paritydt.gf2 import (
     _solve_bits,
     _span_order,
     _subspace_rows,
-    dual_frames,
     parity,
 )
 from paritydt.parity import (
@@ -222,8 +224,9 @@ def reference_parity_bs(f):
 
 @functools.lru_cache(maxsize=None)
 def reference_frames(m, k):
-    """dual_frames(m, k), kept: (dual basis rows, direction basis rows,
-    direction span) of every codimension-k frame, in canonical order."""
+    """frame_oracle.dual_frames(m, k), kept: (dual basis rows, direction
+    basis rows, direction span) of every codimension-k frame, in canonical
+    order."""
     return tuple((wrows, vrows, _span_order(list(vrows))) for wrows, vrows in dual_frames(m, k))
 
 
@@ -610,6 +613,19 @@ def test_d_xor_is_the_depth_of_parity_depth():
         assert d_xor(g) == parity_depth(g)[0]
 
 
+def test_rebuilt_trees_pinned_and_cache_bounded():
+    # 500 trees from random.Random(4), digest recorded before the rebuilt
+    # subtrees were shared through a cache
+    rnd = random.Random(4)
+    trees = [pdt_jsonable(parity_depth(BooleanFunction(4, rnd.getrandbits(16)))[1]) for _ in range(500)]
+    digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()
+    assert digest == "385c5fb1b58c2fd9f65da09a0c9b3ddded49a27c50f30801370b47030127f6ae"
+    info = parity_mod._rebuild_tree.cache_info()
+    assert info.maxsize == 1 << 12 and info.hits > 0
+    # a cached tree is the same object, so no caller may change it
+    assert parity_mod._rebuild_tree(4, 0x6996) is parity_mod._rebuild_tree(4, 0x6996)
+
+
 # ---------------------------------------------------------------------------
 # the dense tables at dimension <= 4 against the scalar searches
 # ---------------------------------------------------------------------------
@@ -885,8 +901,71 @@ def test_coset_scan_matches_subspace_construction(n):
             for rhs in range(1 << len(wrows)):
                 coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
                 ref.append((coset, dim, tuple(coset.member_bits())))
-    assert parity_mod._coset_scan(n) == tuple(ref)
+    groups = parity_mod._coset_scan(n)
+    assert [dim for dim, _, _ in groups] == list(range(n, -1, -1))
+    flat = [
+        (coset, dim, tuple(pts))
+        for dim, cosets, members in groups
+        for coset, pts in zip(cosets, members.tolist(), strict=True)
+    ]
+    assert flat == ref
     assert ref[0][0] == Coset.full_space(n)
+    for dim, cosets, members in groups:
+        assert members.shape == (len(cosets), 1 << dim)
+
+
+# parity_bs of every zoo function at n <= 4 and of seeded 4-bit tables,
+# and sampled_parity_bs (40 samples) of random.Random(n).getrandbits(2^n)
+# at seeds 0..2, recorded before the coset scans read their restricted
+# tables in one gather per dimension
+_FULL = {"constraints": [], "rhs": ""}
+ZOO_PBS_PINS = {
+    **{f"zoo:{name}:{n}": (n, _FULL) for name in ("and", "or") for n in range(1, 5)},
+    **{f"zoo:{name}:{n}": (1, _FULL) for name in ("parity", "dictator") for n in range(1, 5)},
+    "zoo:maj:1": (1, _FULL),
+    "zoo:maj:3": (2, {"constraints": ["001"], "rhs": "0"}),
+    "zoo:example31:3": (2, {"constraints": ["101"], "rhs": "0"}),
+}
+# the first eight tables of random.Random(44).getrandbits(16)
+TABLE_PBS_PINS = {
+    26773: (3, {"constraints": ["1111"], "rhs": "0"}),
+    34080: (3, {"constraints": ["0001"], "rhs": "0"}),
+    35518: (3, {"constraints": ["1000"], "rhs": "1"}),
+    45980: (3, {"constraints": ["0101"], "rhs": "1"}),
+    56494: (3, {"constraints": ["1001"], "rhs": "1"}),
+    7645: (3, {"constraints": ["1100"], "rhs": "0"}),
+    11577: (2, _FULL),
+    24875: (3, {"constraints": ["1110"], "rhs": "1"}),
+}
+SAMPLED_PBS_PINS = {
+    (5, 0): (2, {"constraints": ["00100", "00011"], "rhs": "00"}),
+    (5, 1): (3, {"constraints": ["10001", "01011"], "rhs": "01"}),
+    (5, 2): (2, {"constraints": ["01100"], "rhs": "1"}),
+    (6, 0): (3, {"constraints": ["100110", "011000"], "rhs": "10"}),
+    (6, 1): (3, {"constraints": ["101011", "011010", "000110"], "rhs": "001"}),
+    (6, 2): (3, {"constraints": ["100000", "001000", "000010"], "rhs": "010"}),
+    (7, 0): (3, {"constraints": ["1010001", "0110001", "0001001", "0000011"], "rhs": "1101"}),
+    (7, 1): (3, {"constraints": ["1000100", "0100101", "0010001", "0001011"], "rhs": "1111"}),
+    (7, 2): (2, {"constraints": ["1110110", "0001110", "0000001"], "rhs": "010"}),
+}
+
+
+def test_pbs_witnesses_pinned():
+    assert {spec.split(":")[1] for spec in ZOO_PBS_PINS} == set(construct.ZOO_NAMES)
+    rnd = random.Random(44)
+    assert list(TABLE_PBS_PINS) == [rnd.getrandbits(16) for _ in range(8)]
+    cases = [(spec, parse_function_spec(spec), pin) for spec, pin in ZOO_PBS_PINS.items()]
+    cases += [(t, BooleanFunction(4, t), pin) for t, pin in TABLE_PBS_PINS.items()]
+    for key, f, (value, coset) in cases:
+        v, h = parity_bs(f)
+        assert (v, h.to_jsonable()) == (value, coset), key
+
+
+def test_sampled_pbs_witnesses_pinned():
+    for (n, seed), (value, coset) in SAMPLED_PBS_PINS.items():
+        f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+        v, h = sampled_parity_bs(f, 40, seed)
+        assert (v, h.to_jsonable()) == (value, coset), (n, seed)
 
 
 def test_pbs_matches_oracle_n2():

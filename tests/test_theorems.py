@@ -1,12 +1,14 @@
 """The array screens of the theorem sweeps: the dense measures they read,
-and sweeps that give the same results with and without them."""
+and sweeps that give the same results with and without them; and the
+first violation the coset scans of ``monotone`` and ``lemma-exp`` report."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from paritydt import budget, parity, theorems
+from paritydt import budget, construct, parity, theorems
 from paritydt.boolfn import BooleanFunction
 from paritydt.budget import Budget
 from paritydt.errors import BudgetExceededError
@@ -56,3 +58,52 @@ def test_thm1_screen_refuses_no_constant_family():
     finally:
         budget.current.reset(token)
     assert (r.instances, r.violations) == (4, [])
+
+
+# ---------------------------------------------------------------------------
+# first violations of the coset scans, planted; the records were taken
+# before the scans read their restricted tables in one gather per dimension
+# ---------------------------------------------------------------------------
+
+def _coset(dim, i):
+    """The i-th coset of dimension dim of {0,1}^4, in scan order."""
+    (cosets,) = [cosets for d, cosets, _ in parity._coset_scan(4) if d == dim]
+    return cosets[i]
+
+
+def test_monotone_first_violation_planted(monkeypatch):
+    # C+ reads 99 on the restricted table 0b0101 of dimension 2, which
+    # this f first meets on the third coset of that dimension
+    real = parity.c_xor
+
+    def c_xor(g):
+        local = getattr(g, "local", g)
+        return 99 if (local.arity, local.table) == (2, 0b0101) else real(g)
+
+    monkeypatch.setattr(parity, "c_xor", c_xor)
+    got = theorems.THEOREMS["monotone"].check(BooleanFunction(4, 34208), 0)
+    want = {"function": "tt:4:0000010110100001", "coset": {"constraints": ["0010", "0001"], "rhs": "01"},
+            "cxor": 3, "cxor_restricted": 99, "bsxor": 3, "bsxor_restricted": 1}
+    assert json.dumps(got) == json.dumps(want)
+    assert got["coset"] == _coset(2, 2).to_jsonable()
+
+
+@pytest.mark.parametrize("t,dim,i,forms,want", [
+    # tau reads 99 for every s on the first direction space of dimension
+    # 2: f is not linear on its first two cosets, so the third reports
+    (62946, 2, 2, range(16), {"function": "tt:4:0100011110101111",
+                              "coset": {"constraints": ["0010", "0001"], "rhs": "01"},
+                              "s": "1001", "tau": 99, "c": 3, "d": 3}),
+    # only for s = x_2 on the first direction space of dimension 1: f is
+    # <x, s> on its third coset but not on the first two
+    (40001, 1, 2, [0b0010], {"function": "tt:4:1000001000111001",
+                             "coset": {"constraints": ["0100", "0010", "0001"], "rhs": "010"},
+                             "s": "0100", "tau": 99, "c": 4, "d": 4}),
+])
+def test_lemma_exp_first_violation_planted(monkeypatch, t, dim, i, forms, want):
+    real = construct.tau
+    frame = _coset(dim, 0).constraints
+    monkeypatch.setattr(construct, "tau", lambda a, s: 99 if a == frame and s.bits in forms else real(a, s))
+    got = theorems.THEOREMS["lemma-exp"].check(BooleanFunction(4, t), 0)
+    assert json.dumps(got) == json.dumps(want)
+    assert got["coset"] == _coset(dim, i).to_jsonable()
