@@ -428,8 +428,11 @@ def _gl_chunks(n: int) -> Iterator[np.ndarray]:
 def _distinct_tables(bits: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.ndarray]:
     """(tables, inverse): the table whose bit j is bits[idx[i, j]] is
     tables[inverse[i]], each distinct table listed once, in increasing
-    order of its packed bytes."""
-    packed = np.packbits(bits[idx], axis=1, bitorder="little")
+    order of its packed bytes.  With one table per row of ``bits``, the
+    gathers of every row are deduped together, and inverse[r * len(idx)
+    + i] names row r's table at idx[i]."""
+    gathered = bits[..., idx].reshape(-1, idx.shape[1])
+    packed = np.ascontiguousarray(np.packbits(gathered, axis=1, bitorder="little"))
     # as one void item each, rows sort as with axis=0, about 3x faster
     distinct, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_inverse=True)
     return [int.from_bytes(t.tobytes(), "little") for t in distinct], inverse

@@ -269,27 +269,30 @@ def _cxor_profile(m: int, table: int) -> bytes:
 @lru_cache(maxsize=DENSE_MAX_DIM + 1)
 def _dense_profile(m: int) -> np.ndarray:
     """_cxor_scan's profile of every table of dimension m, one uint8 row
-    per table (1 MiB at m = 4): the same scan, run on many tables at once,
+    per table (1 MiB at m = 4): the same scan, run on all tables at once,
     with each direction space's constancy mask ORed into one cover."""
     out = np.zeros((1 << (1 << m), 1 << m), dtype=np.uint8)
+    tables = np.arange(len(out), dtype=np.uint16)
+    cover = np.zeros_like(tables)
     # every point coset is constant, so codimension m covers what is left
-    directions = [tuple(_subspace_rows(m, m - k)) for k in range(m)]
-    # in chunks of 4096 tables, so the temporaries stay small
-    for start in range(0, len(out), 4096):
-        rows = out[start:start + 4096]
-        tables = np.arange(start, start + len(rows), dtype=np.uint16)
-        cover = np.zeros_like(tables)
-        for k in range(m):
-            for vrows in directions[k]:
-                or_t, and_t = tables.copy(), tables.copy()
-                for v in vrows:
-                    or_t |= _table_xor_translate(or_t, m, v)
-                    and_t &= _table_xor_translate(and_t, m, v)
-                cover |= ~(or_t ^ and_t)
-            for x in range(1 << m):
-                rows[:, x] += ((cover >> x) & 1) == 0
+    for k in range(m):
+        for vrows in _subspace_rows(m, m - k):
+            or_t, and_t = tables.copy(), tables.copy()
+            for v in vrows:
+                or_t |= _table_xor_translate(or_t, m, v)
+                and_t &= _table_xor_translate(and_t, m, v)
+            cover |= ~(or_t ^ and_t)
+        for x in range(1 << m):
+            out[:, x] += ((cover >> x) & 1) == 0
     out.setflags(write=False)
     return out
+
+
+def _code_bits(m: int, tables: np.ndarray) -> np.ndarray:
+    """The input bits of every code in a uint16 array of dimension-m
+    codes, one uint8 row per code."""
+    codes = tables.astype("<u2").view(np.uint8).reshape(-1, 2)
+    return np.unpackbits(codes, axis=1, bitorder="little")[:, :1 << m]
 
 
 def _dense_measures(m: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -298,8 +301,7 @@ def _dense_measures(m: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     0-input (1-input)."""
     d = _dense_depth(m)[0][tables]
     p = _dense_profile(m)[tables]
-    codes = tables.astype("<u2").view(np.uint8).reshape(-1, 2)
-    ones = np.unpackbits(codes, axis=1, bitorder="little")[:, :1 << m]
+    ones = _code_bits(m, tables)
     return d, np.where(ones, 0, p).max(1), np.where(ones, p, 0).max(1), p.max(1)
 
 
@@ -672,19 +674,26 @@ def _coset_scan(n: int) -> tuple[tuple[int, tuple[Coset, ...], np.ndarray], ...]
     return tuple(out)
 
 
-def _max_over_cosets(f: BooleanFunction, scan: Iterable[tuple[int, Sequence[Coset], np.ndarray]]) -> tuple[int, Coset]:
-    """The largest wbs_xor of f's restrictions to the cosets of ``scan``
-    (groups as _coset_scan gives them), with the first coset reaching it."""
-    bits = _table_bits(f.arity, f.table)
-    best, witness = -1, None
+def _max_over_cosets(
+    bits: np.ndarray, scan: Iterable[tuple[int, Sequence[Coset], np.ndarray]]
+) -> tuple[np.ndarray, list[Coset]]:
+    """The largest wbs_xor of each table's restrictions to the cosets of
+    ``scan`` (groups as _coset_scan gives them), with the first coset
+    reaching it; ``bits`` holds one table of one arity per row.  Each
+    distinct restricted table is measured once."""
+    rows = np.arange(len(bits))
+    arity = bits.shape[1].bit_length() - 1
+    best = np.full(len(bits), -1)
+    witness: list[Coset] = [None] * len(bits)
     for dim, cosets, members in scan:
         tables, inverse = _distinct_tables(bits, members)
-        vals = np.array([_wbs_aggregate(dim, t) for t in tables])[inverse]
-        i = int(vals.argmax())
-        if vals[i] > best:
-            best, witness = int(vals[i]), cosets[i]
-            if best == f.arity:
-                break
+        vals = np.array([_wbs_aggregate(dim, t) for t in tables])[inverse].reshape(len(bits), len(cosets))
+        top = vals.argmax(axis=1)
+        for r in np.flatnonzero(vals[rows, top] > best).tolist():
+            best[r], witness[r] = vals[r, top[r]], cosets[top[r]]
+        # no restriction's wbs_xor exceeds the arity
+        if (best == arity).all():
+            break
     return best, witness
 
 
@@ -696,7 +705,13 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     """
     n = f.arity
     budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
-    return _max_over_cosets(f, _coset_scan(n))
+    if not f.is_constant():
+        # the scan opens on the full space, whose wbs_xor needs the block
+        # bitmaps of dimension n; past BITMAP_MAX_DIM they refuse here,
+        # before the scan is built
+        _basis_weights(n)
+    best, witness = _max_over_cosets(_table_bits(n, f.table)[None], _coset_scan(n))
+    return int(best[0]), witness[0]
 
 
 def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int, Coset]:
@@ -723,4 +738,7 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
                 ech.append(red)
         # independent rows are consistent with any rhs
         candidates.append(_solve_bits(rows, [rnd.getrandbits(1) for _ in rows], n))
-    return _max_over_cosets(f, ((h.dim, (h,), np.array([h.member_bits()])) for h in candidates))
+    best, witness = _max_over_cosets(
+        _table_bits(n, f.table)[None], ((h.dim, (h,), np.array([h.member_bits()])) for h in candidates)
+    )
+    return int(best[0]), witness[0]

@@ -5,8 +5,9 @@ returns a violation record, or None when the function satisfies the
 statement.  One driver sweeps a predicate over a family, counts the
 instances, keeps the first few violations, and can split the family
 across worker processes.  A theorem may also carry an array screen that
-reads its measures for many small tables at once from the dense tables;
-the predicate then runs only on the tables the screen flags.
+reads its measures for many small tables at once, from the dense tables
+or the batched coset scan; the predicate then runs only on the tables
+the screen flags.
 """
 
 from __future__ import annotations
@@ -150,6 +151,18 @@ def _thm2(f: BooleanFunction, seed: int) -> dict | None:
     return None
 
 
+def _thm2_screen(n: int, tables: np.ndarray) -> np.ndarray:
+    """_thm2's violators among dimension-n codes: bs⊕ from the batched
+    coset scan, C⊕ from the dense profile."""
+    budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
+    budget.require("parity_certificate", n, "parity certificate aggregates limited to ambient arity")
+    bits, scan = parity._code_bits(n, tables), parity._coset_scan(n)
+    # 128 tables at a time, so the gathered restrictions stay small
+    b = np.concatenate([parity._max_over_cosets(bits[lo:lo + 128], scan)[0] for lo in range(0, len(bits), 128)])
+    cv = parity._dense_profile(n)[tables].max(1)
+    return ~((b <= cv) & (cv <= b * b))
+
+
 def _prop_cd(f: BooleanFunction, seed: int) -> dict | None:
     """C+(f) <= D+(f)."""
     cv, d = parity.c_xor(f), parity.d_xor(f)
@@ -190,7 +203,9 @@ def _monotone(f: BooleanFunction, seed: int) -> dict | None:
     # the scan's first group is the full space alone
     for dim, cosets, members in parity._coset_scan(f.arity)[1:]:
         tables, inverse = classical._distinct_tables(bits, members)
-        measured = [(parity.c_xor(g), parity.parity_bs(g)[0]) for g in (BooleanFunction(dim, t) for t in tables)]
+        # every distinct restriction's bs+ from one batched scan
+        pbs = parity._max_over_cosets(np.array([_table_bits(dim, t) for t in tables]), parity._coset_scan(dim))[0]
+        measured = [(parity.c_xor(BooleanFunction(dim, t)), int(b)) for t, b in zip(tables, pbs)]
         for h, j in zip(cosets, inverse.tolist()):
             crf, brf = measured[j]
             if crf > cx or brf > bx:
@@ -326,7 +341,9 @@ THEOREMS: dict[str, Theorem] = {
     "eq1": Theorem(_eq1, 4, 8, "decision tree depth search"),
     "eq2": Theorem(_eq2, 4, 8, "block sensitivity packing search"),
     "thm1": Theorem(_thm1, 4, 6, "parity tree depth search", screen=_thm1_screen),
-    "thm2": Theorem(_thm2, 3, 4, "exact parity block sensitivity (full coset and basis enumeration)"),
+    "thm2": Theorem(
+        _thm2, 3, 4, "exact parity block sensitivity (full coset and basis enumeration)", screen=_thm2_screen
+    ),
     "prop-cd": Theorem(_prop_cd, 4, 6, "parity tree depth search", screen=_prop_cd_screen),
     "eq-coplusc": Theorem(_eq_coplusc, 3, 4, "full GL(n,2) certificate sweep per function"),
     "monotone": Theorem(_monotone, 3, 4, "exact parity block sensitivity on every coset restriction"),

@@ -468,6 +468,38 @@ def test_verify_screen_keeps_planted_violations(capsys, monkeypatch, inline_pool
         assert r["instances"] == bad[-1] + 1
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_verify_thm2_screen_keeps_planted_violations(capsys, monkeypatch, inline_pool, threads):
+    # every 4-bit table t with t % 7 == 0 reads wbs+ 9 on the full space,
+    # so bs+ is 9 > C+ there; no other table violates thm2
+    real = parity._wbs_aggregate
+    monkeypatch.setattr(parity, "_wbs_aggregate", lambda m, t: 9 if m == 4 and t % 7 == 0 else real(m, t))
+    argv = ["verify", "--family", "random:4:200:3", "--theorems", "thm2"]
+    scalar_check = theorems.THEOREMS["thm2"].check
+    calls = []
+
+    def check(f, seed):
+        calls.append(f.table)
+        return scalar_check(f, seed)
+
+    monkeypatch.setitem(theorems.THEOREMS, "thm2", dataclasses.replace(theorems.THEOREMS["thm2"], check=check))
+    code, screened = run_json(capsys, argv)
+    assert code == 1
+    # the screen passes on exactly the violators, up to the cap
+    assert len(calls) == 5 and all(t % 7 == 0 for t in calls)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: threads)
+    code, chunked = run_json(capsys, argv + ["--threads", str(threads)])
+    assert code == 1 and inline_pool == [threads]
+    monkeypatch.setitem(theorems.THEOREMS, "thm2", dataclasses.replace(theorems.THEOREMS["thm2"], screen=None))
+    code, scalar = run_json(capsys, argv)
+    assert code == 1
+    assert strip_runtimes(screened) == strip_runtimes(scalar) == strip_runtimes(chunked)
+    (r,) = screened["results"]
+    bad = [t for t in theorems._family_tables(theorems.parse_family("random:4:200:3")) if t % 7 == 0][:5]
+    assert [v["function"] for v in r["violations"]] == [BooleanFunction(4, t).spec for t in bad]
+    assert all(v["bsxor"] == 9 for v in r["violations"])
+
+
 def test_verify_reports_violations(capsys, monkeypatch):
     def fails_on_01(f, seed):
         return {"function": "tt:1:01", "detail": "planted"} if f.spec == "tt:1:01" else None

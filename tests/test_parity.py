@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coset_oracle import max_over_cosets
 from frame_oracle import dual_frames
 from packing_oracle import reference_max_packing
 
-from paritydt import budget, classical, construct, gf2
+from paritydt import budget, classical, construct, gf2, theorems
 from paritydt import parity as parity_mod
-from paritydt.boolfn import BooleanFunction, _table_xor_translate, local_point, parse_function_spec, restrict
+from paritydt.boolfn import (
+    BooleanFunction,
+    _table_bits,
+    _table_xor_translate,
+    local_point,
+    parse_function_spec,
+    restrict,
+)
 from paritydt.errors import BudgetExceededError, DomainError
 from paritydt.gf2 import (
     Coset,
@@ -1026,6 +1034,47 @@ def test_pbs_budget():
         parity_bs(BooleanFunction(5, 0))
     with pytest.raises(BudgetExceededError):
         sampled_parity_bs(BooleanFunction(9, 0), 2, 0)
+
+
+def _batched_matches_oracle(n, tables):
+    bits = np.array([_table_bits(n, t) for t in tables], dtype=np.uint8)
+    scan = parity_mod._coset_scan(n)
+    values, witnesses = parity_mod._max_over_cosets(bits, scan)
+    assert len(values) == len(witnesses) == len(tables)
+    for t, v, h in zip(tables, values.tolist(), witnesses, strict=True):
+        assert (v, h) == max_over_cosets(BooleanFunction(n, t), scan), (n, t)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_batched_coset_scan_matches_per_table_scan_all(n):
+    _batched_matches_oracle(n, range(1 << (1 << n)))
+
+
+def test_batched_coset_scan_matches_per_table_scan_n4_seeded():
+    rnd = random.Random(19)
+    _batched_matches_oracle(4, [rnd.getrandbits(16) for _ in range(2000)])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_batched_coset_scan_matches_per_table_scan_zoo(n):
+    _batched_matches_oracle(n, theorems._family_tables(theorems.parse_family(f"zoo:all:{n}")))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_pbs_refuses_block_bitmaps_before_building_the_scan(n):
+    parity_mod._coset_scan.cache_clear()
+    token = budget.current.set(budget.Budget(parity_bs=n))
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            parity_bs(parse_function_spec(f"zoo:and:{n}"))
+        assert str(err.value) == f"block bitmaps limited to dimension <= {parity_mod.BITMAP_MAX_DIM}, got {n}"
+        assert parity_mod._coset_scan.cache_info().currsize == 0
+        if n == 6:
+            # a constant needs no bases, so it passes at any dimension
+            assert parity_bs(BooleanFunction(6, 0)) == (0, Coset.full_space(6))
+    finally:
+        budget.current.reset(token)
+        parity_mod._coset_scan.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,13 @@ def test_dense_measures_match_scalar_measures(m):
         assert (c0[t], c1[t]) == (parity.c0_xor(f) or 0, parity.c1_xor(f) or 0), t
 
 
-@pytest.mark.parametrize("family", ["exhaustive:3", "exhaustive:4", "random:4:1000:42", "zoo:all:4"])
-@pytest.mark.parametrize("theorem", ["thm1", "prop-cd"])
-def test_screened_sweep_matches_scalar_sweep(monkeypatch, family, theorem):
+@pytest.mark.parametrize("theorem,family", [
+    *((th, fam) for th in ("thm1", "prop-cd")
+      for fam in ("exhaustive:3", "exhaustive:4", "random:4:1000:42", "zoo:all:4")),
+    # thm2 refuses exhaustive:4
+    *(("thm2", fam) for fam in ("exhaustive:3", "random:4:1000:42", "zoo:all:4")),
+])
+def test_screened_sweep_matches_scalar_sweep(monkeypatch, theorem, family):
     screened = theorems.run_verification_suite(family, [theorem])[0]
     monkeypatch.setitem(theorems.THEOREMS, theorem, dataclasses.replace(theorems.THEOREMS[theorem], screen=None))
     scalar = theorems.run_verification_suite(family, [theorem])[0]
@@ -47,6 +51,32 @@ def test_screen_refuses_past_lowered_budget(theorem, cap, message):
     finally:
         budget.current.reset(token)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "cap,message",
+    [("parity_bs", "parity_bs exact search limited to arity <= 3, got 4; use sampled_parity_bs"),
+     ("parity_certificate", "parity certificate aggregates limited to ambient arity <= 3, got 4")],
+)
+@pytest.mark.parametrize("screened", [True, False])
+def test_thm2_screen_refuses_like_the_predicate(monkeypatch, cap, message, screened):
+    # bs+ is measured first, so its cap refuses first
+    if not screened:
+        monkeypatch.setitem(theorems.THEOREMS, "thm2", dataclasses.replace(theorems.THEOREMS["thm2"], screen=None))
+    token = budget.current.set(Budget(**{cap: 3}))
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            theorems.run_verification_suite("random:4:10:1", ["thm2"])
+    finally:
+        budget.current.reset(token)
+    assert str(err.value) == message
+
+
+def test_thm2_sweep_builds_no_depth_table():
+    parity._dense_depth.cache_clear()
+    r = theorems.run_verification_suite("random:4:1000:42", ["thm2"])[0]
+    assert (r.instances, r.violations) == (1000, [])
+    assert parity._dense_depth.cache_info().currsize == 0
 
 
 def test_thm1_screen_refuses_no_constant_family():
@@ -86,6 +116,26 @@ def test_monotone_first_violation_planted(monkeypatch):
             "cxor": 3, "cxor_restricted": 99, "bsxor": 3, "bsxor_restricted": 1}
     assert json.dumps(got) == json.dumps(want)
     assert got["coset"] == _coset(2, 2).to_jsonable()
+
+
+def test_monotone_reports_restricted_bsxor_planted(monkeypatch):
+    # C+ reads 99 on example31's table, whose bs+ 2 exceeds its wbs+ 1;
+    # f is example31 with a dummy x4, so the first coset of dimension 3
+    # restricts to it
+    real = parity.c_xor
+
+    def c_xor(g):
+        local = getattr(g, "local", g)
+        return 99 if (local.arity, local.table) == (3, 86) else real(g)
+
+    monkeypatch.setattr(parity, "c_xor", c_xor)
+    assert construct.zoo("example31", 3).table == 86
+    assert (parity.parity_bs(BooleanFunction(3, 86))[0], parity.wbs_xor(BooleanFunction(3, 86))) == (2, 1)
+    got = theorems.THEOREMS["monotone"].check(BooleanFunction(4, 86 | 86 << 8), 0)
+    want = {"function": "tt:4:0110101001101010", "coset": {"constraints": ["0001"], "rhs": "0"},
+            "cxor": 2, "cxor_restricted": 99, "bsxor": 2, "bsxor_restricted": 2}
+    assert json.dumps(got) == json.dumps(want)
+    assert got["coset"] == _coset(3, 0).to_jsonable()
 
 
 @pytest.mark.parametrize("t,dim,i,forms,want", [
