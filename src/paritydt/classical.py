@@ -18,7 +18,7 @@ import numpy as np
 from . import budget
 from .boolfn import BooleanFunction, _table_bits, _table_xor_translate
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, _gl_rows, _images, _row_chunks, _sample_gl_rows
+from .gf2 import Gf2Matrix, Gf2Vector, _gl_chunks, _images, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "DecisionLeaf",
@@ -418,11 +418,6 @@ def _measure_value(measure: str, g: BooleanFunction) -> int:
     if measure == "c":
         return c(g)
     return bs(g)
-
-
-def _gl_chunks(n: int) -> Iterator[np.ndarray]:
-    """Every invertible n x n matrix in enumerate_gl order, in chunks."""
-    return _row_chunks(_gl_rows(n), n)
 
 
 def _distinct_tables(bits: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.ndarray]:

@@ -92,14 +92,6 @@ def _kernel_bits(rows: Sequence[int], ncols: int) -> list[int]:
     return out
 
 
-def _reduce_low(v: int, echelon_rows: Sequence[int]) -> int:
-    """Reduce v against rows whose lowest set bits are distinct."""
-    for r in echelon_rows:
-        if v & (r & -r):
-            v ^= r
-    return v
-
-
 def _min_in_affine(offset: int, dir_rows: Sequence[int]) -> int:
     """Smallest integer in offset + span(dir_rows)."""
     basis: dict[int, int] = {}
@@ -127,8 +119,9 @@ def _span_order(rows: Sequence[int]) -> list[int]:
     return out
 
 
-# image entries (matrices x 2^n inputs) per chunk of _row_chunks: 4,096
-# matrices at n = 4, so a chunk's arrays stay a few hundred KiB
+# image entries (matrices x 2^n inputs) per chunk of _row_chunks and
+# _gl_chunks: 4,096 matrices at n = 4, so a chunk's arrays stay a few
+# hundred KiB
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -504,40 +497,61 @@ def _subspace_rows(n: int, dim: int) -> Iterator[tuple[int, ...]]:
             yield rows[::-1]
 
 
-def _gl_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """The row tuples of every invertible n x n matrix, in lexicographic
-    order: each row runs over the nonzero vectors outside the span of
-    the rows before it."""
-    if not 1 <= n <= MAX_WIDTH:
-        raise DimensionError(f"n {n} outside 1..{MAX_WIDTH}")
+def _bases(n: int, increasing: bool = False) -> Iterator[np.ndarray]:
+    """The rows of every invertible n x n matrix in lexicographic order,
+    or with ``increasing`` every unordered basis of {0,1}^n as its
+    increasing rows, in (k, n) uint8 blocks: one block per choice of the
+    rows before the last three.  Each row runs over the vectors outside
+    the span of the rows before it (and above the last one)."""
+    top = np.arange(1 << n)
+
+    def grow(rows: np.ndarray, levels: int) -> np.ndarray:
+        # every prefix in ``rows`` by every next row, prefixes outermost
+        for _ in range(levels):
+            free = np.ones((len(rows), len(top)), dtype=bool)
+            free[np.arange(len(rows))[:, None], _spans(rows)] = False
+            if increasing and rows.shape[1]:
+                free &= top > rows[:, -1:]
+            i, v = np.nonzero(free)
+            rows = np.concatenate([rows[i], v[:, None].astype(np.uint8)], axis=1)
+        return rows
+
+    fixed = max(0, n - 3)
+    for prefix in grow(np.zeros((1, 0), dtype=np.uint8), fixed):
+        yield grow(prefix[None], n - fixed)
+
+
+def _gl_chunks(n: int) -> Iterator[np.ndarray]:
+    """The rows of every invertible n x n matrix in lexicographic order,
+    as (k, n) arrays of _chunk_size(n) matrices each (the last may be
+    short)."""
+    if not 0 <= n <= MAX_WIDTH:
+        raise DimensionError(f"n {n} outside 0..{MAX_WIDTH}")
     if n > GL_ENUM_MAX:
         raise BudgetExceededError(f"full GL enumeration limited to n <= {GL_ENUM_MAX}, got {n}; use sample_gl")
-    limit = 1 << n
-
-    def rec(prefix: tuple[int, ...], span: list[int]) -> Iterator[tuple[int, ...]]:
-        inside = set(span)
-        for v in range(1, limit):
-            if v in inside:
-                continue
-            if len(prefix) == n - 1:
-                yield prefix + (v,)
-            else:
-                yield from rec(prefix + (v,), span + [s ^ v for s in span])
-
-    yield from rec((), [0])
+    size = _chunk_size(n)
+    rest = np.zeros((0, n), dtype=np.uint8)
+    for block in _bases(n):
+        rest = np.concatenate([rest, block])
+        while len(rest) >= size:
+            yield rest[:size]
+            rest = rest[size:]
+    if len(rest):
+        yield rest
 
 
 def enumerate_gl(n: int) -> Iterator[Gf2Matrix]:
     """All invertible n x n matrices, row tuples in lexicographic order."""
-    for rows in _gl_rows(n):
-        yield Gf2Matrix.from_bits(rows, n)
+    for chunk in _gl_chunks(n):
+        for rows in chunk.tolist():
+            yield Gf2Matrix.from_bits(rows, n)
 
 
 def _sample_gl_rows(n: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:
     """The row tuples of ``count`` seeded invertible matrices (rejection
     from uniform)."""
-    if not 1 <= n <= MAX_WIDTH:
-        raise DimensionError(f"n {n} outside 1..{MAX_WIDTH}")
+    if not 0 <= n <= MAX_WIDTH:
+        raise DimensionError(f"n {n} outside 0..{MAX_WIDTH}")
     rnd = random.Random(seed)
     for _ in range(count):
         while True:

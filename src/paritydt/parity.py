@@ -34,10 +34,11 @@ from .gf2 import (
     Coset,
     Gf2Matrix,
     Gf2Vector,
+    _bases,
     _chunk_size,
     _images,
     _kernel_bits,
-    _reduce_low,
+    _rref_bits,
     _row_chunks,
     _sample_gl_rows,
     _solve_bits,
@@ -516,22 +517,11 @@ BITMAP_MAX_DIM = 5
 
 
 @lru_cache(maxsize=8)
-def _sorted_bases(m: int) -> tuple[tuple[int, ...], ...]:
-    """All unordered bases of {0,1}^m as increasing tuples."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], ech: list[int], start: int):
-        if len(prefix) == m:
-            out.append(tuple(prefix))
-            return
-        for v in range(start, 1 << m):
-            red = _reduce_low(v, ech)
-            if red:
-                ins = sorted(ech + [red], key=lambda r: r & -r)
-                rec(prefix + [v], ins, v + 1)
-
-    rec([], [], 1)
-    return tuple(out)
+def _sorted_bases(m: int) -> np.ndarray:
+    """All unordered bases of {0,1}^m as increasing rows, read-only."""
+    out = np.concatenate(list(_bases(m, increasing=True)))
+    out.setflags(write=False)
+    return out
 
 
 def _span_weights(m: int, spans: np.ndarray) -> np.ndarray:
@@ -546,7 +536,7 @@ def _basis_weights(m: int) -> np.ndarray:
     """Span weights of every unordered basis, columns in _sorted_bases order."""
     if m > BITMAP_MAX_DIM:
         raise BudgetExceededError(f"block bitmaps limited to dimension <= {BITMAP_MAX_DIM}, got {m}")
-    w = _span_weights(m, _spans(np.array(_sorted_bases(m), dtype=np.uint8)))
+    w = _span_weights(m, _spans(_sorted_bases(m)))
     w.setflags(write=False)
     return w
 
@@ -607,7 +597,7 @@ def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector | None)
     m = _exact_wbs_dim(rf, x)
     v, j = _weak_scan(m, rf.local.table, _basis_weights(m), _points(rf, x))
     # the columns of the witness are the basis vectors
-    return v, Gf2Matrix.from_bits(_sorted_bases(m)[j], m).transpose()
+    return v, Gf2Matrix.from_bits(_sorted_bases(m)[j].tolist(), m).transpose()
 
 
 def sampled_weak_parity_bs(
@@ -705,11 +695,13 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     """
     n = f.arity
     budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
-    if not f.is_constant():
-        # the scan opens on the full space, whose wbs_xor needs the block
-        # bitmaps of dimension n; past BITMAP_MAX_DIM they refuse here,
-        # before the scan is built
-        _basis_weights(n)
+    # every restriction of a constant is constant
+    if f.is_constant():
+        return 0, Coset.full_space(n)
+    # the scan opens on the full space, whose wbs_xor needs the block
+    # bitmaps of dimension n; past BITMAP_MAX_DIM they refuse here, before
+    # the scan is built
+    _basis_weights(n)
     best, witness = _max_over_cosets(_table_bits(n, f.table)[None], _coset_scan(n))
     return int(best[0]), witness[0]
 
@@ -729,13 +721,10 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
     while len(candidates) < samples:
         dim = rnd.randint(0, min(n, max_dim))
         rows = []
-        ech: list[int] = []
         while len(rows) < n - dim:
             v = rnd.getrandbits(n)
-            red = _reduce_low(v, sorted(ech, key=lambda r: r & -r))
-            if red:
+            if len(_rref_bits([*rows, v], n)[0]) > len(rows):
                 rows.append(v)
-                ech.append(red)
         # independent rows are consistent with any rhs
         candidates.append(_solve_bits(rows, [rnd.getrandbits(1) for _ in rows], n))
     best, witness = _max_over_cosets(

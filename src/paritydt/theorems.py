@@ -25,7 +25,7 @@ from . import budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, _table_bits, fourier, restrict, shift
 from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _parities, _row_chunks, _sample_gl_rows
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_chunks, _parities, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "Family",
@@ -185,7 +185,7 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
     target = parity.cxor_profile(f)
     # the profile of x -> f(By) at y is a certificate size at x = By
     best = np.full(size, 255, dtype=np.uint8)
-    for _, img, tables, inverse in classical._rotations(f, classical._gl_chunks(n)):
+    for _, img, tables, inverse in classical._rotations(f, _gl_chunks(n)):
         profiles = np.array([list(classical.certificate_profile(BooleanFunction(n, t))) for t in tables],
                             dtype=np.uint8)
         np.minimum.at(best, img, profiles[inverse])

@@ -258,6 +258,17 @@ def test_verify_small_family(capsys):
         assert r["family"] == "exhaustive:2"
 
 
+@pytest.mark.parametrize("family,count", [("exhaustive:0", 2), ("random:0:3:1", 3)])
+def test_verify_gl_sweeps_at_arity_0(capsys, family, count):
+    # GL(0) is the one empty matrix, enumerated and sampled alike
+    code, got = run_json(capsys, ["verify", "--family", family, "--theorems", "eq-coplusc,invariance"])
+    assert code == 0
+    assert [(r["theorem"], r["passed"], r["instances"]) for r in got["results"]] == [
+        ("eq-coplusc", True, count),
+        ("invariance", True, count),
+    ]
+
+
 def test_verify_leaves_no_small_dimension_memo_entries(capsys):
     # every table of dimension <= 4 is read from the dense tables, so the
     # sweep cannot pass on a memo hit and the memos do not grow with it

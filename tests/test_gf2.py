@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basis_oracle import gl_rows, reduce_low
 from frame_oracle import dual_frames
 from paritydt import gf2
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
@@ -271,8 +273,8 @@ def test_enumerate_gl_4_count():
 
 
 def reference_enumerate_gl(n):
-    """The recursion enumerate_gl ran before it wrapped gf2._gl_rows: each
-    row reduced against an echelon basis of the rows before it."""
+    """The recursion enumerate_gl ran before it read gf2._bases: each row
+    reduced against an echelon basis of the rows before it."""
     limit = 1 << n
 
     def rec(prefix, echelon):
@@ -280,7 +282,7 @@ def reference_enumerate_gl(n):
             yield Gf2Matrix.from_bits(prefix, n)
             return
         for v in range(1, limit):
-            red = gf2._reduce_low(v, echelon)
+            red = reduce_low(v, echelon)
             if red:
                 ins = sorted(echelon + [red], key=lambda r: r & -r)
                 yield from rec(prefix + [v], ins)
@@ -300,11 +302,38 @@ def reference_sample_gl(n, count, seed):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_enumerate_gl_matches_reference_recursion(n):
     want = [m.row_bits for m in reference_enumerate_gl(n)]
+    assert len(want) == gl_order(n)
+    assert list(gl_rows(n)) == want
     assert [m.row_bits for m in enumerate_gl(n)] == want
-    assert list(gf2._gl_rows(n)) == want
+    assert [tuple(rows) for block in gf2._bases(n) for rows in block.tolist()] == want
+    chunks = [chunk.tolist() for chunk in gf2._gl_chunks(n)]
+    assert [tuple(rows) for chunk in chunks for rows in chunk] == want
+    assert all(len(chunk) == gf2._chunk_size(n) for chunk in chunks[:-1])
+
+
+def test_gl_0_is_the_empty_matrix():
+    assert list(enumerate_gl(0)) == [Gf2Matrix(0, ())]
+    assert sample_gl(0, 3, 5) == [Gf2Matrix(0, ())] * 3
+    assert list(gf2._sample_gl_rows(0, 2, 1)) == [(), ()]
+    for bad in (enumerate_gl(-1), gf2._sample_gl_rows(-1, 1, 0)):
+        with pytest.raises(DimensionError, match="n -1 outside 0..24"):
+            next(iter(bad))
+
+
+def test_gl_5_walk_memory_flat():
+    # GL(5) holds 9,999,360 matrices (50 MB of rows); the walk keeps one
+    # prefix's block and one chunk at a time
+    tracemalloc.start()
+    try:
+        count = sum(len(chunk) for chunk in gf2._gl_chunks(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == gl_order(5)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n,count,seed", [(1, 3, 0), (3, 20, 11), (6, 5, 2), (9, 4, 7)])
@@ -313,10 +342,10 @@ def test_sample_gl_matches_reference_sampler(n, count, seed):
 
 
 def test_enumerate_gl_budget():
-    for gen in (enumerate_gl(6), gf2._gl_rows(6)):
+    for gen in (enumerate_gl(6), gf2._gl_chunks(6)):
         with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
             next(iter(gen))
-    assert next(gf2._gl_rows(5)) == (1, 2, 4, 8, 16)
+    assert next(gf2._gl_chunks(5))[0].tolist() == [1, 2, 4, 8, 16]
 
 
 def test_sample_gl_deterministic():

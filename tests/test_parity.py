@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basis_oracle import sorted_bases
 from coset_oracle import max_over_cosets
 from frame_oracle import dual_frames
 from packing_oracle import reference_max_packing
@@ -175,7 +176,7 @@ def oracle_pbs(f):
 
 @functools.lru_cache(maxsize=None)
 def reference_bases(m):
-    return tuple((basis, _span_order(list(basis))) for basis in parity_mod._sorted_bases(m))
+    return tuple((basis, _span_order(list(basis))) for basis in sorted_bases(m))
 
 
 def reference_wbs_point(m, table, y):
@@ -1075,6 +1076,29 @@ def test_pbs_refuses_block_bitmaps_before_building_the_scan(n):
     finally:
         budget.current.reset(token)
         parity_mod._coset_scan.cache_clear()
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_sorted_bases_match_oracle(m):
+    # the increasing output of gf2._bases, against the recursion it replaced
+    want = sorted_bases(m)
+    assert len(want) == [1, 1, 3, 28, 840, 83328][m]
+    got = parity_mod._sorted_bases(m)
+    assert not got.flags.writeable
+    assert got.dtype == np.uint8 and got.shape == (len(want), m)
+    assert tuple(map(tuple, got.tolist())) == want
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_constant_pbs_builds_no_scan(n):
+    # every restriction of a constant is constant, so no coset is scanned
+    parity_mod._coset_scan.cache_clear()
+    with budget.extended(7):
+        for t in (0, (1 << (1 << n)) - 1):
+            v, h = parity_bs(BooleanFunction(n, t))
+            assert (v, h) == (0, Coset.full_space(n))
+            assert h.to_jsonable() == {"constraints": [], "rhs": ""}
+    assert parity_mod._coset_scan.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
