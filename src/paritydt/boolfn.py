@@ -101,10 +101,6 @@ class RestrictedFunction:
     basis: Gf2Matrix
     offset: Gf2Vector
 
-    @property
-    def ambient_arity(self) -> int:
-        return self.ambient.ncols
-
     def ambient_point(self, y: int) -> int:
         """Packed ambient point for the packed local point y."""
         acc = self.offset.bits
@@ -306,17 +302,24 @@ class FourierSpectrum:
         return [(w, self.coefficient(w)) for w in self.support()]
 
 
+def _walsh(bits: np.ndarray) -> np.ndarray:
+    """F(u) = sum_y bits[y] (-1)^<u,y> along the last axis, of length 2^m,
+    for every index of the leading axes: exact in the smallest signed
+    dtype that holds +-2^m."""
+    m = bits.shape[-1].bit_length() - 1
+    arr = bits.astype(np.min_scalar_type(-(2 << m)))
+    for b in range(m):
+        arr = arr.reshape(*bits.shape[:-1], -1, 2, 1 << b)
+        top = arr[..., 0, :] + arr[..., 1, :]
+        bot = arr[..., 0, :] - arr[..., 1, :]
+        arr = np.stack((top, bot), axis=-2)
+    return arr.reshape(bits.shape)
+
+
 def fourier(f: BooleanFunction) -> FourierSpectrum:
     """Walsh-Hadamard transform of the 0/1-valued truth table, exact in int64
     (|numerator| <= 2^n <= 2^24)."""
-    n = f.arity
-    arr = _table_bits(n, f.table).astype(np.int64)
-    for b in range(n):
-        arr = arr.reshape(-1, 2, 1 << b)
-        top = arr[:, 0, :] + arr[:, 1, :]
-        bot = arr[:, 0, :] - arr[:, 1, :]
-        arr = np.stack((top, bot), axis=1)
-    return FourierSpectrum(n, arr.reshape(-1))
+    return FourierSpectrum(f.arity, _walsh(_table_bits(f.arity, f.table)).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

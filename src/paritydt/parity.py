@@ -595,7 +595,12 @@ def weak_parity_bs(f: BooleanFunction | RestrictedFunction, x: Gf2Vector | None)
     """
     rf = _localize(f)
     m = _exact_wbs_dim(rf, x)
-    v, j = _weak_scan(m, rf.local.table, _basis_weights(m), _points(rf, x))
+    points = _points(rf, x)
+    # a constant needs no bases, so it passes past the block bitmaps; the
+    # identity is also the first basis in _sorted_bases order
+    if rf.local.is_constant():
+        return 0, Gf2Matrix.identity(m)
+    v, j = _weak_scan(m, rf.local.table, _basis_weights(m), points)
     # the columns of the witness are the basis vectors
     return v, Gf2Matrix.from_bits(_sorted_bases(m)[j].tolist(), m).transpose()
 

@@ -6,7 +6,7 @@ statement.  One driver sweeps a predicate over a family, counts the
 instances, keeps the first few violations, and can split the family
 across worker processes.  A theorem may also carry an array screen that
 reads its measures for many small tables at once, from the dense tables
-or the batched coset scan; the predicate then runs only on the tables
+or once per affine orbit; the predicate then runs only on the tables
 the screen flags.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget, certify, classical, comm, construct, parity
-from .boolfn import BooleanFunction, _table_bits, fourier, restrict, shift
+from .boolfn import BooleanFunction, _table_bits, _walsh, fourier, restrict, shift
 from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
 from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_chunks, _parities, _row_chunks, _sample_gl_rows
@@ -151,15 +151,35 @@ def _thm2(f: BooleanFunction, seed: int) -> dict | None:
     return None
 
 
+def _orbit_key(bits: np.ndarray) -> np.ndarray:
+    """One row per table (a row of ``bits``): its weight F(0), then the
+    sorted |F(u)| for u != 0.  An invertible affine map x -> Ax + c only
+    permutes and negates the F(u), u != 0, so the key is constant on each
+    orbit; up to DENSE_MAX_DIM it also tells the orbits apart."""
+    spec = np.abs(_walsh(bits))
+    return np.concatenate([spec[:, :1], np.sort(spec[:, 1:], axis=1)], axis=1)
+
+
+def _orbit_measures(n: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bs⊕, C⊕) of every table in a uint16 array of dimension-n codes.
+    Both are invariant under the affine maps, so each is measured on the
+    first table of each orbit only: bs⊕ by the batched coset scan, C⊕ by
+    the certificate scan."""
+    bits = parity._code_bits(n, tables)
+    key = _orbit_key(bits)
+    # as one void item each, rows sort as with axis=0 (classical._distinct_tables)
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    b = parity._max_over_cosets(bits[first], parity._coset_scan(n))[0]
+    cv = np.array([max(parity._cxor_scan(n, int(t))[0]) for t in tables[first]])
+    return b[inverse], cv[inverse]
+
+
 def _thm2_screen(n: int, tables: np.ndarray) -> np.ndarray:
-    """_thm2's violators among dimension-n codes: bs⊕ from the batched
-    coset scan, C⊕ from the dense profile."""
+    """_thm2's violators among dimension-n codes, measured once per orbit."""
     budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
     budget.require("parity_certificate", n, "parity certificate aggregates limited to ambient arity")
-    bits, scan = parity._code_bits(n, tables), parity._coset_scan(n)
-    # 128 tables at a time, so the gathered restrictions stay small
-    b = np.concatenate([parity._max_over_cosets(bits[lo:lo + 128], scan)[0] for lo in range(0, len(bits), 128)])
-    cv = parity._dense_profile(n)[tables].max(1)
+    b, cv = _orbit_measures(n, tables)
     return ~((b <= cv) & (cv <= b * b))
 
 
@@ -342,7 +362,7 @@ THEOREMS: dict[str, Theorem] = {
     "eq2": Theorem(_eq2, 4, 8, "block sensitivity packing search"),
     "thm1": Theorem(_thm1, 4, 6, "parity tree depth search", screen=_thm1_screen),
     "thm2": Theorem(
-        _thm2, 3, 4, "exact parity block sensitivity (full coset and basis enumeration)", screen=_thm2_screen
+        _thm2, 4, 4, "exact parity block sensitivity (full coset and basis enumeration)", screen=_thm2_screen
     ),
     "prop-cd": Theorem(_prop_cd, 4, 6, "parity tree depth search", screen=_prop_cd_screen),
     "eq-coplusc": Theorem(_eq_coplusc, 3, 4, "full GL(n,2) certificate sweep per function"),

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritydt.boolfn import (
     BooleanFunction,
+    _table_bits,
+    _walsh,
     as_restricted,
     fourier,
     local_point,
@@ -318,3 +321,34 @@ def test_fourier_larger_arity_spot_check():
         spec = fourier(f)
         nums = oracle_spectrum(f)
         assert [spec.numerator(w) for w in range(1 << n)] == nums
+
+
+def loop_spectrum(f):
+    """The int64 butterfly that fourier ran before the batched _walsh,
+    one np.stack per level."""
+    arr = _table_bits(f.arity, f.table).astype(np.int64)
+    for b in range(f.arity):
+        arr = arr.reshape(-1, 2, 1 << b)
+        arr = np.stack((arr[:, 0, :] + arr[:, 1, :], arr[:, 0, :] - arr[:, 1, :]), axis=1)
+    return arr.reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_fourier_matches_loop_bytes(n):
+    rnd = random.Random(n)
+    full = (1 << (1 << n)) - 1
+    for t in [0, full, *(rnd.getrandbits(1 << n) for _ in range(20))]:
+        got, want = fourier(BooleanFunction(n, t)).numerators, loop_spectrum(BooleanFunction(n, t))
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), t
+
+
+def test_walsh_over_leading_axes():
+    rnd = random.Random(3)
+    tables = [[rnd.getrandbits(16) for _ in range(3)] for _ in range(2)]
+    got = _walsh(np.array([[_table_bits(4, t) for t in row] for row in tables]))
+    assert got.shape == (2, 3, 16) and got.dtype == np.int8
+    for row, spectra in zip(tables, got):
+        for t, spec in zip(row, spectra):
+            assert spec.tolist() == loop_spectrum(BooleanFunction(4, t)).tolist()
+    # 2^7 needs a wider dtype than int8
+    assert _walsh(np.ones(128, dtype=np.uint8))[0] == 128

@@ -123,6 +123,17 @@ def test_sampled_bsxor_stays_within_block_bitmaps(capsys):
     assert 7 - len(res["witness"]["coset"]["constraints"]) <= parity.BITMAP_MAX_DIM
 
 
+def test_constant_wbsxor_past_the_block_bitmaps(capsys):
+    # a constant needs no block bitmaps, so wbsxor answers it at n = 6 as
+    # bsxor does, with the identity basis
+    argv = ["measure", "--fn", "tt:6:" + "1" * 64, "--measures", "wbsxor,bsxor", "--max-exact-n", "6"]
+    code, got = run_json(capsys, argv)
+    assert code == 0
+    assert got["results"]["wbsxor"] == {"exact": True, "value": 0,
+                                        "witness": {"basis": [format(1 << (5 - i), "06b") for i in range(6)]}}
+    assert got["results"]["bsxor"]["value"] == 0
+
+
 def test_measure_errors(capsys):
     assert run(["measure", "--fn", "zoo:or:2", "--measures", "dx"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -339,7 +350,7 @@ def test_verify_every_theorem_exhaustive2(capsys, theorem):
 
 
 def test_verify_refusals(capsys):
-    assert run(["verify", "--family", "exhaustive:4", "--theorems", "thm2"]) == 2
+    assert run(["verify", "--family", "exhaustive:4", "--theorems", "monotone"]) == 2
     assert capsys.readouterr().err.startswith("refused:")
     assert run(["verify", "--family", "random:5:3:0", "--theorems", "eq-coplusc"]) == 2
     assert capsys.readouterr().err.startswith("refused:")
@@ -481,10 +492,12 @@ def test_verify_screen_keeps_planted_violations(capsys, monkeypatch, inline_pool
 
 @pytest.mark.parametrize("threads", [2, 3])
 def test_verify_thm2_screen_keeps_planted_violations(capsys, monkeypatch, inline_pool, threads):
-    # every 4-bit table t with t % 7 == 0 reads wbs+ 9 on the full space,
-    # so bs+ is 9 > C+ there; no other table violates thm2
+    # every 4-bit table of weight 7 reads wbs+ 9 on the full space, so bs+
+    # is 9 > C+ there; no other table violates thm2.  The screen measures
+    # one table per affine orbit, so the planted fault keeps to a property
+    # that every affine map keeps, the weight
     real = parity._wbs_aggregate
-    monkeypatch.setattr(parity, "_wbs_aggregate", lambda m, t: 9 if m == 4 and t % 7 == 0 else real(m, t))
+    monkeypatch.setattr(parity, "_wbs_aggregate", lambda m, t: 9 if m == 4 and bin(t).count("1") == 7 else real(m, t))
     argv = ["verify", "--family", "random:4:200:3", "--theorems", "thm2"]
     scalar_check = theorems.THEOREMS["thm2"].check
     calls = []
@@ -497,7 +510,7 @@ def test_verify_thm2_screen_keeps_planted_violations(capsys, monkeypatch, inline
     code, screened = run_json(capsys, argv)
     assert code == 1
     # the screen passes on exactly the violators, up to the cap
-    assert len(calls) == 5 and all(t % 7 == 0 for t in calls)
+    assert len(calls) == 5 and all(bin(t).count("1") == 7 for t in calls)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: threads)
     code, chunked = run_json(capsys, argv + ["--threads", str(threads)])
     assert code == 1 and inline_pool == [threads]
@@ -506,7 +519,7 @@ def test_verify_thm2_screen_keeps_planted_violations(capsys, monkeypatch, inline
     assert code == 1
     assert strip_runtimes(screened) == strip_runtimes(scalar) == strip_runtimes(chunked)
     (r,) = screened["results"]
-    bad = [t for t in theorems._family_tables(theorems.parse_family("random:4:200:3")) if t % 7 == 0][:5]
+    bad = [t for t in theorems._family_tables(theorems.parse_family("random:4:200:3")) if bin(t).count("1") == 7][:5]
     assert [v["function"] for v in r["violations"]] == [BooleanFunction(4, t).spec for t in bad]
     assert all(v["bsxor"] == 9 for v in r["violations"])
 

@@ -804,6 +804,27 @@ def test_wbs_refuses_dimension_beyond_bitmaps():
             weak_parity_bs(parse_function_spec("zoo:and:6"), Gf2Vector(6, 0))
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_constant_wbs_past_the_block_bitmaps(n):
+    # a constant needs no bases, so it passes past the 5-dimensional
+    # bitmaps, through the aggregate and through a scan of one or all points
+    with budget.extended(7):
+        for t in (0, (1 << (1 << n)) - 1):
+            f = BooleanFunction(n, t)
+            assert wbs_xor(f) == 0
+            assert weak_parity_bs(f, None) == (0, Gf2Matrix.identity(n))
+            assert weak_parity_bs(f, Gf2Vector(n, 5)) == (0, Gf2Matrix.identity(n))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_constant_wbs_witness_is_the_scan_witness(m):
+    # the identity a constant answers with is the basis the scan returns
+    for t in (0, (1 << (1 << m)) - 1):
+        v, j = parity_mod._weak_scan(m, t, parity_mod._basis_weights(m))
+        scanned = Gf2Matrix.from_bits(parity_mod._sorted_bases(m)[j].tolist(), m).transpose()
+        assert weak_parity_bs(BooleanFunction(m, t), None) == (v, scanned) == (0, Gf2Matrix.identity(m))
+
+
 def test_sampled_wbs_rejects_no_samples():
     f = BooleanFunction(4, 0x6A3C)
     for samples in (0, -1):

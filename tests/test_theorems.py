@@ -27,7 +27,8 @@ def test_dense_measures_match_scalar_measures(m):
 @pytest.mark.parametrize("theorem,family", [
     *((th, fam) for th in ("thm1", "prop-cd")
       for fam in ("exhaustive:3", "exhaustive:4", "random:4:1000:42", "zoo:all:4")),
-    # thm2 refuses exhaustive:4
+    # thm2's scalar sweep of exhaustive:4 takes minutes; the orbit tests
+    # below stand for it
     *(("thm2", fam) for fam in ("exhaustive:3", "random:4:1000:42", "zoo:all:4")),
 ])
 def test_screened_sweep_matches_scalar_sweep(monkeypatch, theorem, family):
@@ -79,6 +80,77 @@ def test_thm2_sweep_builds_no_depth_table():
     assert parity._dense_depth.cache_info().currsize == 0
 
 
+def test_thm2_sweeps_every_4bit_table():
+    r = theorems.run_verification_suite("exhaustive:4", ["thm2"])[0]
+    assert (r.instances, r.violations) == (65536, [])
+
+
+def test_thm2_screen_flags_past_both_bounds_planted(monkeypatch):
+    # C+ = bs+^2 holds and bs+^2 + 1 does not; C+ = bs+ holds and bs+ - 1 does not
+    b, cv = np.array([2, 2, 1, 3, 3]), np.array([4, 5, 1, 3, 2])
+    monkeypatch.setattr(theorems, "_orbit_measures", lambda n, tables: (b, cv))
+    assert theorems._thm2_screen(4, np.arange(5, dtype=np.uint16)).tolist() == [False, True, False, False, True]
+
+
+# ---------------------------------------------------------------------------
+# the orbit key: the screen of thm2 measures one table per orbit of the
+# invertible affine maps x -> Ax + c, so the key must name the orbits
+# ---------------------------------------------------------------------------
+
+def _agl_orbits(n):
+    """The least table of every n-bit table's orbit, by label propagation
+    over the transvections x_i += x_j and one translation, which generate
+    the invertible affine maps."""
+    xs = np.arange(1 << n)
+    maps = [xs ^ (((xs >> j) & 1) << i) for i in range(n) for j in range(n) if i != j] + [xs ^ 1] * (n > 0)
+    bits = parity._code_bits(n, np.arange(1 << (1 << n), dtype=np.uint16)).astype(np.int64)
+    # the table of x -> f(g(x)), for every table f and generator g
+    images = [(bits[:, g] << xs).sum(axis=1) for g in maps]
+    label = np.arange(len(bits))
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        if (new == label).all():
+            return label
+        label = new
+
+
+def _key_groups(n, tables):
+    key = theorems._orbit_key(parity._code_bits(n, tables))
+    return np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_inverse=True)[1]
+
+
+@pytest.mark.parametrize("n,orbits", [(0, 2), (1, 3), (2, 5), (3, 10), (4, 32)])
+def test_orbit_key_names_the_affine_orbits(n, orbits):
+    label = _agl_orbits(n)
+    group = _key_groups(n, np.arange(1 << (1 << n), dtype=np.uint16))
+    # equal keys exactly where the orbit is the same
+    pairs = set(zip(label.tolist(), group.tolist()))
+    assert len(set(label.tolist())) == len(set(group.tolist())) == len(pairs) == orbits
+
+
+def test_dense_profile_is_constant_on_each_key_group():
+    # C+ built directly for every table, not from the orbits
+    group = _key_groups(4, np.arange(1 << 16, dtype=np.uint16)).tolist()
+    cv = parity._dense_profile(4).max(axis=1).tolist()
+    assert len(set(zip(group, cv))) == len(set(group)) == 32
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_orbit_measures_match_direct_kernels(n):
+    # every table up to n = 3, and 4096 seeded tables at n = 4
+    if n < 4:
+        tables = np.arange(1 << (1 << n), dtype=np.uint16)
+    else:
+        tables = np.random.default_rng(22).integers(0, 1 << 16, 4096).astype(np.uint16)
+    b, cv = theorems._orbit_measures(n, tables)
+    bits, scan = parity._code_bits(n, tables), parity._coset_scan(n)
+    direct = np.concatenate([parity._max_over_cosets(bits[lo:lo + 256], scan)[0] for lo in range(0, len(bits), 256)])
+    assert (b == direct).all()
+    assert (cv == parity._dense_profile(n)[tables].max(axis=1)).all()
+
+
 def test_thm1_screen_refuses_no_constant_family():
     # thm1 measures no constant table, so a family of constants passes
     # under any depth budget, screened or not (the seed draws 3, 3, 0, 0)
@@ -116,6 +188,16 @@ def test_monotone_first_violation_planted(monkeypatch):
             "cxor": 3, "cxor_restricted": 99, "bsxor": 3, "bsxor_restricted": 1}
     assert json.dumps(got) == json.dumps(want)
     assert got["coset"] == _coset(2, 2).to_jsonable()
+
+
+def test_monotone_bsxor_alone_fires_planted(monkeypatch):
+    # bs+ reads 0 on the 4-bit parity, so the first coset of dimension 3
+    # raises bs+ to 1 while C+ stays at 1
+    monkeypatch.setattr(parity, "parity_bs", lambda f: (0, None))
+    got = theorems.THEOREMS["monotone"].check(construct.zoo("parity", 4), 0)
+    want = {"function": "tt:4:0110100110010110", "coset": _coset(3, 0).to_jsonable(),
+            "cxor": 1, "cxor_restricted": 1, "bsxor": 0, "bsxor_restricted": 1}
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_monotone_reports_restricted_bsxor_planted(monkeypatch):
