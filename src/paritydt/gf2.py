@@ -162,11 +162,10 @@ def _images(rows: np.ndarray, n: int) -> np.ndarray:
     """img[i, x] = B_i x, packed, for the matrices B_i with n columns
     whose rows are ``rows[i]``: the span of B_i's columns."""
     # column j of B, packed: bit i is entry (i, j)
-    cols = np.bitwise_or.reduce(
-        ((rows[:, :, None] >> np.arange(n, dtype=np.uint8)) & 1)
-        << np.arange(rows.shape[1], dtype=np.uint8)[:, None],
-        axis=1,
-    )
+    shifts = np.arange(n, dtype=np.uint8)
+    cols = np.zeros((len(rows), n), dtype=np.result_type(rows.dtype, shifts.dtype))
+    for i in range(rows.shape[1]):
+        cols |= ((rows[:, i, None] >> shifts) & 1) << i
     return _spans(cols)
 
 

@@ -180,8 +180,8 @@ def _localize(f: BooleanFunction | RestrictedFunction) -> RestrictedFunction:
 # ---------------------------------------------------------------------------
 
 # every table of dimension m <= DENSE_MAX_DIM reads its depth and
-# certificate profile from a table of all 2^(2^m) codes, built on first
-# use; the memo dicts hold larger dimensions
+# certificate profile from dense tables of all 2^(2^m) codes, built on
+# first use; the memo dicts hold larger dimensions
 _profile_cache: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
 
 
@@ -263,30 +263,50 @@ def _cxor_scan(m: int, table: int) -> tuple[bytes, np.ndarray]:
 
 
 def _cxor_profile(m: int, table: int) -> bytes:
-    """_cxor_scan's profile, read from the dense table up to DENSE_MAX_DIM."""
-    return _dense_profile(m)[table].tobytes() if m <= DENSE_MAX_DIM else _cxor_scan(m, table)[0]
+    """_cxor_scan's profile, read from the dense cover masks up to
+    DENSE_MAX_DIM: the certifying codimension of an input is the number
+    of masks that leave it clear."""
+    if m > DENSE_MAX_DIM:
+        return _cxor_scan(m, table)[0]
+    covered = _code_bits(m, _dense_cover(m)[:, table])
+    return (m - covered.sum(axis=0, dtype=np.uint8)).tobytes()
+
+
+# tables per chunk of the _dense_cover build: its 2^m derivative arrays
+# hold 512 KiB at m = 4
+_COVER_CHUNK = 1 << 14
 
 
 @lru_cache(maxsize=DENSE_MAX_DIM + 1)
-def _dense_profile(m: int) -> np.ndarray:
-    """_cxor_scan's profile of every table of dimension m, one uint8 row
-    per table (1 MiB at m = 4): the same scan, run on all tables at once,
-    with each direction space's constancy mask ORed into one cover."""
-    out = np.zeros((1 << (1 << m), 1 << m), dtype=np.uint8)
-    tables = np.arange(len(out), dtype=np.uint16)
-    cover = np.zeros_like(tables)
-    # every point coset is constant, so codimension m covers what is left
-    for k in range(m):
-        for vrows in _subspace_rows(m, m - k):
-            or_t, and_t = tables.copy(), tables.copy()
-            for v in vrows:
-                or_t |= _table_xor_translate(or_t, m, v)
-                and_t &= _table_xor_translate(and_t, m, v)
-            cover |= ~(or_t ^ and_t)
-        for x in range(1 << m):
-            out[:, x] += ((cover >> x) & 1) == 0
-    out.setflags(write=False)
-    return out
+def _dense_cover(m: int) -> np.ndarray:
+    """Bit x of cover[k, t] is set when table t of dimension m is constant
+    on some coset through x of codimension <= k, for k < m (every point
+    coset is constant, so codimension m covers all): one uint16 mask per
+    (k, t), 512 KiB at m = 4.
+
+    f is constant on x + V exactly when its derivative f(x) ^ f(x ^ v)
+    is 0 at x for every v in V, so each direction space's constancy mask
+    is the complement of the OR of its members' derivatives.  A constant
+    coset holds constant cosets of every larger codimension through each
+    of its points, so the spaces of codimension exactly k suffice."""
+    full = (1 << (1 << m)) - 1
+    ntables = full + 1
+    cover = np.zeros((m, ntables), dtype=np.uint16)
+    spaces = [[_span_order(vrows)[1:] for vrows in _subspace_rows(m, m - k)] for k in range(m)]
+    for lo in range(0, ntables, _COVER_CHUNK):
+        tables = np.arange(lo, min(lo + _COVER_CHUNK, ntables), dtype=np.uint16)
+        moved = [tables ^ _table_xor_translate(tables, m, v) for v in range(1 << m)]
+        d = np.empty_like(tables)
+        for k in range(m):
+            mask = cover[k, lo:lo + len(tables)]
+            for first, *rest in spaces[k]:
+                np.copyto(d, moved[first])
+                for v in rest:
+                    d |= moved[v]
+                mask |= ~d
+            mask &= full
+    cover.setflags(write=False)
+    return cover
 
 
 def _code_bits(m: int, tables: np.ndarray) -> np.ndarray:
@@ -301,9 +321,11 @@ def _dense_measures(m: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     codes, read from the dense tables; C0⊕ (C1⊕) is 0 for a table with no
     0-input (1-input)."""
     d = _dense_depth(m)[0][tables]
-    p = _dense_profile(m)[tables]
-    ones = _code_bits(m, tables)
-    return d, np.where(ones, 0, p).max(1), np.where(ones, p, 0).max(1), p.max(1)
+    # row k: the inputs no coset of codimension <= k certifies; C⊕ is the
+    # number of rows with such an input
+    unc = ~_dense_cover(m)[:, tables] & ((1 << (1 << m)) - 1)
+    return (d, np.count_nonzero(unc & ~tables, axis=0), np.count_nonzero(unc & tables, axis=0),
+            np.count_nonzero(unc, axis=0))
 
 
 def parity_certificate(
@@ -389,7 +411,7 @@ def _dense_depth(m: int) -> tuple[np.ndarray, np.ndarray]:
         sub = _dense_depth(m - 1)[0]
         for w in range(1, 1 << m):
             idx0, idx1 = _split_frames(m, w)
-            d = 1 + np.maximum(sub[_gather(tables, idx0)], sub[_gather(tables, idx1)])
+            d = 1 + np.maximum(sub.take(_gather(tables, idx0)), sub.take(_gather(tables, idx1)))
             better = d < depth
             depth[better] = d[better]
             query[better] = w

@@ -126,7 +126,7 @@ def test_cli_import_builds_no_dense_table():
     code = (
         "import paritydt.cli\n"
         "from paritydt import parity\n"
-        "print(parity._dense_depth.cache_info().currsize, parity._dense_profile.cache_info().currsize)\n"
+        "print(parity._dense_depth.cache_info().currsize, parity._dense_cover.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

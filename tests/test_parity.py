@@ -643,7 +643,10 @@ def _assert_dense_matches_reference(m, table):
     depth, query = parity_mod._dense_depth(m)
     d, w = reference_dxor(m, table)
     assert (int(depth[table]), int(query[table])) == (d, w or 0), (m, table)
-    assert parity_mod._dense_profile(m)[table].tobytes() == reference_cxor_profile(m, table), (m, table)
+    # bit x of mask k is set exactly when a coset of codimension <= k certifies x
+    profile = reference_cxor_profile(m, table)
+    masks = [sum(1 << x for x in range(1 << m) if profile[x] <= k) for k in range(m)]
+    assert parity_mod._dense_cover(m)[:, table].tolist() == masks, (m, table)
     f = BooleanFunction(m, table)
     assert pdt_jsonable(parity_depth(f)[1]) == pdt_jsonable(reference_tree(m, table)), (m, table)
     assert d_xor(f) == d
@@ -666,15 +669,30 @@ def test_dense_tables_match_scalar_search_n4_seeded():
 def test_dense_tables_are_read_only():
     for m in range(parity_mod.DENSE_MAX_DIM + 1):
         depth, query = parity_mod._dense_depth(m)
-        profile = parity_mod._dense_profile(m)
+        cover = parity_mod._dense_cover(m)
         assert (depth.dtype, depth.shape) == (np.int8, (1 << (1 << m),))
         assert (query.dtype, query.shape) == (np.uint8, (1 << (1 << m),))
-        assert (profile.dtype, profile.shape) == (np.uint8, (1 << (1 << m), 1 << m))
-        for arr in (depth, query, profile):
+        assert (cover.dtype, cover.shape) == (np.uint16, (m, 1 << (1 << m)))
+        for arr in (depth, query, cover):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 1
-    assert parity_mod._dense_profile(4).nbytes == 1 << 20
+                arr[...] = 1
+    assert parity_mod._dense_cover(4).nbytes == 1 << 19
+
+
+def test_dense_cover_build_stays_small():
+    # the derivative arrays are built 2^14 tables at a time, so the build
+    # peaks below 2 MB and keeps only its 512 KiB of masks
+    parity_mod._dense_cover(4)
+    tracemalloc.start()
+    try:
+        cover = parity_mod._dense_cover.__wrapped__(4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cover.nbytes == 1 << 19
+    assert 1 << 19 <= held < (1 << 19) + 4096
+    assert peak < 2_000_000
 
 
 def test_depth_above_dense_tables_matches_scalar_search():

@@ -16,12 +16,22 @@ from paritydt.errors import BudgetExceededError
 
 @pytest.mark.parametrize("m", range(parity.DENSE_MAX_DIM + 1))
 def test_dense_measures_match_scalar_measures(m):
-    d, c0, c1, c = parity._dense_measures(m, np.arange(1 << (1 << m), dtype=np.uint16))
-    for t in range(1 << (1 << m)):
-        f = BooleanFunction(m, t)
-        assert (d[t], c[t]) == (parity.d_xor(f), parity.c_xor(f)), t
-        # no 0-input (1-input) reads 0 in the array and None from the scalar
-        assert (c0[t], c1[t]) == (parity.c0_xor(f) or 0, parity.c1_xor(f) or 0), t
+    # every table up to m = 3, and 2,000 seeded tables with a few
+    # structured ones at m = 4
+    if m < 4:
+        tables = np.arange(1 << (1 << m), dtype=np.uint16)
+    else:
+        rnd = np.random.default_rng(23).integers(0, 1 << 16, 2000)
+        tables = np.concatenate([[0x8000, 0x6996, 0xE8E8, 0x00FF], rnd]).astype(np.uint16)
+    d, c0, c1, c = parity._dense_measures(m, tables)
+    for i, t in enumerate(tables.tolist()):
+        assert d[i] == parity.d_xor(BooleanFunction(m, t)), t
+        # the certificate scan, which reads no dense table; no 0-input
+        # (1-input) reads 0 in the array
+        profile = parity._cxor_scan(m, t)[0]
+        zeros = [profile[x] for x in range(1 << m) if not (t >> x) & 1]
+        ones = [profile[x] for x in range(1 << m) if (t >> x) & 1]
+        assert (c0[i], c1[i], c[i]) == (max(zeros, default=0), max(ones, default=0), max(profile)), t
 
 
 @pytest.mark.parametrize("theorem,family", [
@@ -130,11 +140,19 @@ def test_orbit_key_names_the_affine_orbits(n, orbits):
     assert len(set(label.tolist())) == len(set(group.tolist())) == len(pairs) == orbits
 
 
-def test_dense_profile_is_constant_on_each_key_group():
-    # C+ built directly for every table, not from the orbits
+def test_dense_cover_is_constant_on_each_key_group():
+    # the cover masks built directly for every table, not from the
+    # orbits: an affine map permutes the inputs and the cosets, so the
+    # number of inputs each mask covers is an orbit invariant
     group = _key_groups(4, np.arange(1 << 16, dtype=np.uint16)).tolist()
-    cv = parity._dense_profile(4).max(axis=1).tolist()
-    assert len(set(zip(group, cv))) == len(set(group)) == 32
+    covered = [parity._code_bits(4, mask).sum(axis=1).tolist() for mask in parity._dense_cover(4)]
+    assert len(set(zip(group, *covered))) == len(set(group)) == 32
+
+
+def test_dense_depth_is_constant_on_each_key_group():
+    group = _key_groups(4, np.arange(1 << 16, dtype=np.uint16)).tolist()
+    depth = parity._dense_depth(4)[0].tolist()
+    assert len(set(zip(group, depth))) == len(set(group)) == 32
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -148,7 +166,7 @@ def test_orbit_measures_match_direct_kernels(n):
     bits, scan = parity._code_bits(n, tables), parity._coset_scan(n)
     direct = np.concatenate([parity._max_over_cosets(bits[lo:lo + 256], scan)[0] for lo in range(0, len(bits), 256)])
     assert (b == direct).all()
-    assert (cv == parity._dense_profile(n)[tables].max(axis=1)).all()
+    assert (cv == parity._dense_measures(n, tables)[3]).all()
 
 
 def test_thm1_screen_refuses_no_constant_family():
