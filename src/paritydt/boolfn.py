@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, DomainError, FunctionSpecError
-from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _images, _rref_bits, _solve_bits, _span_order, parity
+from .gf2 import MAX_WIDTH, Coset, Gf2Matrix, Gf2Vector, _images, _rref_bits, _solve_bits, _span_order, parity, solve
 
 __all__ = [
     "BooleanFunction",
@@ -143,26 +143,11 @@ def local_point(rf: RestrictedFunction, x: Gf2Vector) -> int:
         raise DimensionError("width mismatch")
     if not rf.ambient.contains(x):
         raise DomainError(f"point {x} is not in the domain coset")
-    v = x.bits ^ rf.offset.bits
-    y = 0
-    rows = rf.basis.row_bits
-    # reduce v against an echelonized copy of the frame, tracking which
-    # original rows went into the combination
-    ech: list[tuple[int, int]] = []  # (row value, local mask)
-    for i, r in enumerate(rows):
-        m = 1 << i
-        for val, lm in ech:
-            if r & (val & -val):
-                r ^= val
-                m ^= lm
-        ech.append((r, m))
-    for val, lm in ech:
-        if v & (val & -val):
-            v ^= val
-            y ^= lm
-    if v:
+    # y solves sum_i y_i b_i = x ^ offset, one equation per ambient bit
+    sol = solve(rf.basis.transpose(), x ^ rf.offset)
+    if sol is None:
         raise DomainError("point not reachable from the frame (frame does not span the coset)")
-    return y
+    return sol.min_member_bits()
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,11 @@ def _packing_dp(m: int, marks: np.ndarray) -> np.ndarray:
 
 
 def _code_marks(m: int, codes: np.ndarray) -> np.ndarray:
-    """marks[i, blk] = bit blk of codes[i], for the 2^m block masks of
-    dimension m; unpacked mask-major, the layout _packing_dp reads."""
-    raw = codes.astype(codes.dtype.newbyteorder("<")).view(np.uint8).reshape(len(codes), -1)
+    """marks[i, j] = bit j of codes[i], for the 2^m bits of a dimension-m
+    code (a block bitmap, whose bit blk marks block mask blk, or a table);
+    unpacked mask-major, the layout _packing_dp reads."""
+    # by the item size, so an empty array keeps its byte columns
+    raw = codes.astype(codes.dtype.newbyteorder("<")).view(np.uint8).reshape(len(codes), codes.itemsize)
     return np.unpackbits(raw.T, axis=0, count=1 << m, bitorder="little").view(bool).T
 
 

@@ -53,24 +53,19 @@ _SAMPLED_CAPABLE = frozenset({"wbsxor", "bsxor", "di", "ci", "bsi"})
 _CERT_TARGETS = {"c": None, "c0": 0, "c1": 1}
 
 
-def _certificate_measure(f: BooleanFunction, profile: bytes, target: int | None, certificate,
-                         seen: dict[int, dict]) -> MeasureValue:
+def _certificate_measure(f: BooleanFunction, profile: bytes, target: int | None, certificate) -> MeasureValue:
     """The largest profile entry over the inputs where f takes ``target``
     (all inputs when None), with the certificate at the first input
-    reaching it; ``certificate(x)`` gives the witness fields, and ``seen``
-    keeps them by input, since c and c0/c1 often peak at one input."""
+    reaching it; ``certificate(x)`` gives the witness fields."""
     xb = classical.maximizing_input(profile, f.table, target)
     if xb is None:
         return MeasureValue(None, True, None, "undefined for this function")
     x = Gf2Vector(f.arity, xb)
-    if xb not in seen:
-        seen[xb] = certificate(x)
-    return MeasureValue(profile[xb], True, {"x": x.to_string(), **seen[xb]})
+    return MeasureValue(profile[xb], True, {"x": x.to_string(), **certificate(x)})
 
 
-def _compute_measure(f: BooleanFunction, name: str, witnesses: dict[str, dict[int, dict]]) -> MeasureValue:
-    """The exact measure ``name`` with its witness; ``witnesses`` holds the
-    certificates found so far for f, by measure family and input."""
+def _compute_measure(f: BooleanFunction, name: str) -> MeasureValue:
+    """The exact measure ``name`` with its witness."""
     if name == "d":
         v, tree = classical.decision_depth(f)
         return MeasureValue(v, True, {"tree": classical.tree_jsonable(tree)})
@@ -78,7 +73,6 @@ def _compute_measure(f: BooleanFunction, name: str, witnesses: dict[str, dict[in
         return _certificate_measure(
             f, classical.certificate_profile(f), _CERT_TARGETS[name],
             lambda x: {"certificate": classical.certificate_complexity(f, x)[1].to_jsonable()},
-            witnesses.setdefault("c", {}),
         )
     if name == "bs":
         v, fam = classical.block_sensitivity(f, None)
@@ -90,7 +84,6 @@ def _compute_measure(f: BooleanFunction, name: str, witnesses: dict[str, dict[in
         return _certificate_measure(
             f, parity.cxor_profile(f), _CERT_TARGETS[name[:-3]],
             lambda x: parity.parity_certificate(f, x)[1].to_jsonable(),
-            witnesses.setdefault("cxor", {}),
         )
     if name == "wbsxor":
         v, basis = parity.weak_parity_bs(f, None)
@@ -129,11 +122,10 @@ def _measure_command(ns: argparse.Namespace) -> tuple[int, dict | str]:
         if m not in MEASURE_NAMES:
             raise ParitydtError(f"unknown measure {m!r}; known: {', '.join(MEASURE_NAMES)}")
     out: dict[str, MeasureValue] = {}
-    witnesses: dict[str, dict[int, dict]] = {}
     with budget.extended(ns.max_exact_n):
         for m in names:
             try:
-                out[m] = _compute_measure(f, m, witnesses)
+                out[m] = _compute_measure(f, m)
             except BudgetExceededError:
                 if ns.sample and m in _SAMPLED_CAPABLE:
                     out[m] = _compute_measure_sampled(f, m, ns.sample, ns.seed)

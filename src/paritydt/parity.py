@@ -200,28 +200,22 @@ def _frame_keys(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, key
 
 
-def _frame_chunks(m: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(dual bases W, keys W y) of every codimension-k frame, in
-    _subspace_rows order, _chunk_size(m) frames at a time."""
-    if m > FRAME_CACHE_MAX_DIM:
-        for rows in _row_chunks(_subspace_rows(m, k), m):
-            yield rows, _images(rows, m)
-        return
-    rows, key = _frame_keys(m, k)
-    size = _chunk_size(m)
-    for start in range(0, len(rows), size):
-        yield rows[start:start + size], key[start:start + size]
-
-
 def _coset_classes(m: int, table: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every codimension-k frame's cosets with their 1-input counts, per
-    chunk of dual bases W (rows) in _subspace_rows order: (rows, key,
-    count), where key[i, y] = W_i y names y's coset of ker W_i (bit j is
-    <w_j, y>) and count[i, c] is the number of 1-inputs in class c.  A
-    class is constant when its count is 0 or 2^(m-k); no direction basis
-    is built."""
+    chunk of _chunk_size(m) dual bases W (rows) in _subspace_rows order:
+    (rows, key, count), where key[i, y] = W_i y names y's coset of ker W_i
+    (bit j is <w_j, y>) and count[i, c] is the number of 1-inputs in class
+    c.  A class is constant when its count is 0 or 2^(m-k); no direction
+    basis is built."""
+    if m > FRAME_CACHE_MAX_DIM:
+        chunks = ((rows, _images(rows, m)) for rows in _row_chunks(_subspace_rows(m, k), m))
+    else:
+        # slices of the kept arrays, taken before the loop rebinds the names
+        rows, key = _frame_keys(m, k)
+        size = _chunk_size(m)
+        chunks = [(rows[i:i + size], key[i:i + size]) for i in range(0, len(rows), size)]
     ones = np.flatnonzero(_table_bits(m, table))
-    for rows, key in _frame_chunks(m, k):
+    for rows, key in chunks:
         cls = key[:, ones] + (np.arange(len(rows))[:, None] << k)
         count = np.bincount(cls.ravel(), minlength=len(rows) << k).reshape(len(rows), 1 << k)
         yield rows, key, count
@@ -268,7 +262,7 @@ def _cxor_profile(m: int, table: int) -> bytes:
     of masks that leave it clear."""
     if m > DENSE_MAX_DIM:
         return _cxor_scan(m, table)[0]
-    covered = _code_bits(m, _dense_cover(m)[:, table])
+    covered = _code_marks(m, _dense_cover(m)[:, table])
     return (m - covered.sum(axis=0, dtype=np.uint8)).tobytes()
 
 
@@ -307,13 +301,6 @@ def _dense_cover(m: int) -> np.ndarray:
             mask &= full
     cover.setflags(write=False)
     return cover
-
-
-def _code_bits(m: int, tables: np.ndarray) -> np.ndarray:
-    """The input bits of every code in a uint16 array of dimension-m
-    codes, one uint8 row per code."""
-    codes = tables.astype("<u2").view(np.uint8).reshape(-1, 2)
-    return np.unpackbits(codes, axis=1, bitorder="little")[:, :1 << m]
 
 
 def _dense_measures(m: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -567,15 +554,15 @@ def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = sli
     """Block sensitivity of the local table at the chosen points (rows)
     through every basis whose span weights are a column of ``weights``."""
     pts = np.arange(1 << m)
-    bits = (table >> pts) & 1
-    near = bits[pts[points, None] ^ pts]  # near[i, v] = f(y_i ^ v)
-    codes = ((near != near[:, :1]).astype(weights.dtype) @ weights).astype(np.intp)
+    near = _table_bits(m, table)[pts[points, None] ^ pts]  # near[i, v] = f(y_i ^ v)
+    flips = (near != near[:, :1]).astype(weights.dtype)
     if m <= DENSE_MAX_DIM:
-        return _packing_table(m)[codes]
-    # no 2^(2^m)-entry table: run the DP on the codes' bits, one point at a time
-    out = np.empty(codes.shape, dtype=np.int8)
-    for i, row in enumerate(codes):
-        out[i] = _packing_dp(m, _code_marks(m, row))[-1]
+        return _packing_table(m)[(flips @ weights).astype(np.intp)]
+    # no 2^(2^m)-entry table: run the DP on the codes' bits, one point at a
+    # time, so only one point's codes and DP levels are alive at once
+    out = np.empty((len(flips), weights.shape[1]), dtype=np.int8)
+    for i, row in enumerate(flips):
+        out[i] = _packing_dp(m, _code_marks(m, (row @ weights).astype(np.intp)))[-1]
     return out
 
 
@@ -642,12 +629,13 @@ def sampled_weak_parity_bs(
     m = rf.local.arity
     if m > BITMAP_MAX_DIM:
         raise BudgetExceededError(f"sampled_weak_parity_bs limited to dimension <= {BITMAP_MAX_DIM}, got {m}")
+    points = _points(rf, x)
     if rf.local.is_constant():
         return 0, Gf2Matrix.identity(m)
     rows = [tuple(1 << i for i in range(m)), *_sample_gl_rows(m, samples, seed)]
     # the span of B's columns is B y for every y
     weights = _span_weights(m, _images(np.array(rows, dtype=np.uint8), m))
-    v, j = _weak_scan(m, rf.local.table, weights, _points(rf, x))
+    v, j = _weak_scan(m, rf.local.table, weights, points)
     return v, Gf2Matrix.from_bits(rows[j], m)
 
 

@@ -165,7 +165,7 @@ def _orbit_measures(n: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Both are invariant under the affine maps, so each is measured on the
     first table of each orbit only: bs⊕ by the batched coset scan, C⊕ by
     the certificate scan."""
-    bits = parity._code_bits(n, tables)
+    bits = classical._code_marks(n, tables)
     key = _orbit_key(bits)
     # as one void item each, rows sort as with axis=0 (classical._distinct_tables)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from paritydt.boolfn import (
     BooleanFunction,
+    RestrictedFunction,
     _table_bits,
     _walsh,
     as_restricted,
@@ -230,8 +231,44 @@ def test_local_point_outside_coset():
     h = Coset.full_space(3).with_constraint(Gf2Vector(3, 0b011), 1)
     rf = restrict(f, h)
     outside = next(x for x in range(8) if not h._contains_bits(x))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="not in the domain coset"):
         local_point(rf, Gf2Vector(3, outside))
+
+
+def test_local_point_refuses_wrong_width_and_short_frame():
+    f = BooleanFunction.from_table_string("01101010")
+    rf = restrict(f, Coset.full_space(3).with_constraint(Gf2Vector(3, 0b011), 1))
+    with pytest.raises(DimensionError, match="width mismatch"):
+        local_point(rf, Gf2Vector(4, 0b0001))
+    # two frame rows reach only half of the full space
+    short = RestrictedFunction(Coset.full_space(3), BooleanFunction(2, 0b0110), Gf2Matrix.from_bits([0b001, 0b010], 3),
+                               Gf2Vector.zeros(3))
+    assert local_point(short, Gf2Vector(3, 0b011)) == 0b11
+    with pytest.raises(DomainError, match="not reachable from the frame"):
+        local_point(short, Gf2Vector(3, 0b100))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_local_point_inverts_ambient_point(seed):
+    # seeded cosets at n <= 8, each through its canonical frame and
+    # through a frame of mixed rows and another offset
+    rnd = random.Random(seed)
+    for _ in range(40):
+        n = rnd.randint(1, 8)
+        codim = rnd.randint(0, n)
+        cons = sample_gl(n, 1, rnd.getrandbits(32))[0].row_bits[:codim]
+        h = solve(Gf2Matrix.from_bits(cons, n), Gf2Vector(codim, rnd.getrandbits(codim)))
+        f = BooleanFunction(n, rnd.getrandbits(1 << n))
+        frames = [restrict(f, h)]
+        if h.dim:
+            canon = frames[0]
+            mix = sample_gl(h.dim, 1, rnd.getrandbits(32))[0].row_bits
+            rows = [canon.ambient_point(a) ^ canon.offset.bits for a in mix]
+            offset = canon.ambient_point(rnd.getrandbits(h.dim))
+            frames.append(restrict_with_frame(f, h, rows, offset))
+        for rf in frames:
+            for y in range(1 << h.dim):
+                assert local_point(rf, Gf2Vector(n, rf.ambient_point(y))) == y
 
 
 def test_as_restricted_is_identity_frame():

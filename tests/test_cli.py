@@ -209,10 +209,8 @@ def reference_sampled_wbsxor(f, samples, seed):
 
 
 def _assert_measures_match_reference(f):
-    # one witness dict for all names, as one measure command shares it
-    witnesses = {}
     for name in ("c", "c0", "c1", "bs", "cxor", "c0xor", "c1xor", "wbsxor"):
-        got = cli._compute_measure(f, name, witnesses).to_jsonable()
+        got = cli._compute_measure(f, name).to_jsonable()
         assert got == reference_measure(f, name).to_jsonable(), (f.spec, name)
 
 

@@ -1,5 +1,6 @@
 """Static checks on the package sources: every top-level import is used,
-every name a module exports in ``__all__`` exists, no function cache is
+every name a module exports in ``__all__`` exists, every private
+module-level function or constant is read, no function cache is
 unbounded, no ``np.unique`` dedupes along an axis, and importing the CLI
 builds no dense table."""
 
@@ -45,6 +46,49 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"paritydt.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and constants (``module._name``)
+    that no top-level statement of any module reads, other than the one
+    defining them: a recursive call is part of its definition."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, node))
+            reads.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                          | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}))
+    return sorted(f"{module}.{name} (line {node.lineno})" for module, name, node in defined
+                  if not any(name in names for stmt, names in reads if stmt is not node))
+
+
+def test_no_unread_private_names():
+    sources = {name: (SRC / f"{name}.py").read_text() for name in MODULES + ["__init__"]}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_is_reported():
+    sources = {
+        "a": (
+            "_LIMIT = 4\n_UNUSED: int = 5\n\n"
+            "def _helper(n):\n    return n + _LIMIT\n\n"
+            "def _walk(n):\n    return _walk(n - 1) if n else 0\n\n"
+            "def _left_behind(n):\n    return n\n\n"
+            "def public(n):\n    return _helper(n)\n\n"
+            "def _read_elsewhere():\n    return 1\n"
+        ),
+        "b": "from . import a\n\n_SEEN = a._read_elsewhere()\nprint(_SEEN)\n",
+    }
+    assert unread_private_names(sources) == ["a._UNUSED (line 2)", "a._left_behind (line 10)", "a._walk (line 7)"]
 
 
 def unbounded_caches(source: str) -> list[str]:

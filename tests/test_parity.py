@@ -25,7 +25,7 @@ from paritydt.boolfn import (
     parse_function_spec,
     restrict,
 )
-from paritydt.errors import BudgetExceededError, DomainError
+from paritydt.errors import BudgetExceededError, DimensionError, DomainError
 from paritydt.gf2 import (
     Coset,
     Gf2Matrix,
@@ -515,7 +515,7 @@ def test_frame_keys_kept_up_to_six_then_streamed():
         assert [int(c) for c in key[i]] == [sum(parity(w & y) << j for j, w in enumerate(ws)) for y in range(32)]
     assert not rows.flags.writeable and not key.flags.writeable
     before = parity_mod._frame_keys.cache_info().currsize
-    rows7, key7 = next(parity_mod._frame_chunks(7, 6))
+    rows7, key7, _ = next(parity_mod._coset_classes(7, 0, 6))
     assert parity_mod._frame_keys.cache_info().currsize == before
     assert tuple(int(w) for w in rows7[0]) == (1, 2, 4, 8, 16, 32)
     assert [int(c) for c in key7[0, :4]] == [0, 1, 2, 3] and int(key7[0, 64]) == 0
@@ -695,6 +695,25 @@ def test_dense_cover_build_stays_small():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_code_marks_are_table_bits(m):
+    # one unpacker reads every code: block bitmaps, cover masks and tables
+    codes = np.arange(1 << (1 << m), dtype=np.uint16)
+    marks = classical._code_marks(m, codes)
+    assert marks.dtype == bool and marks.shape == (len(codes), 1 << m)
+    assert all((marks[t] == _table_bits(m, t)).all() for t in range(len(codes)))
+
+
+def test_code_marks_of_the_empty_cover_column():
+    # the m = 0 cover has no masks: its column unpacks to no rows, and the
+    # one input's profile is 0
+    for t in (0, 1):
+        column = parity_mod._dense_cover(0)[:, t]
+        assert column.shape == (0,)
+        assert classical._code_marks(0, column).shape == (0, 1)
+        assert parity_mod._cxor_profile(0, t) == b"\x00"
+
+
 def test_depth_above_dense_tables_matches_scalar_search():
     # from dimension 5 the search runs on; an affine table answers its
     # one depth-1 query before the scan, which would stop there too
@@ -850,6 +869,19 @@ def test_sampled_wbs_rejects_no_samples():
             sampled_weak_parity_bs(f, Gf2Vector(4, 0), samples, 0)
 
 
+@pytest.mark.parametrize(
+    "wbs", [weak_parity_bs, lambda f, x: sampled_weak_parity_bs(f, x, 3, 0)], ids=["exact", "sampled"]
+)
+def test_wbs_checks_the_point_of_a_constant(wbs):
+    # a constant answers without bases, but only at one of its inputs
+    with pytest.raises(DimensionError, match="width mismatch"):
+        wbs(BooleanFunction(3, 0), Gf2Vector(5, 1))
+    g = restrict(BooleanFunction(3, 0xFF), Coset.full_space(3).with_constraint(Gf2Vector(3, 0b001), 0))
+    with pytest.raises(DomainError, match="not in the domain coset"):
+        wbs(g, Gf2Vector(3, 0b001))
+    assert wbs(g, Gf2Vector(3, 0b010)) == (0, Gf2Matrix.identity(2))
+
+
 @pytest.mark.parametrize("m", range(5))
 def test_basis_weights_match_per_basis_spans(m):
     bases = reference_bases(m)
@@ -883,6 +915,23 @@ def test_packing_dp_above_table_matches_scalar_dp():
     for mask in (0, 1, 6, 0b10110, 0b11101):
         within = sum(1 << b for b in range(32) if b & mask == b)
         assert [int(v) for v in got[mask]] == [reference_max_packing(5, s & within) for s in codes]
+
+
+def test_block_packings_above_table_run_one_point_at_a_time():
+    # at dimension 5 each point's codes and DP levels go before the next
+    # point's come: about 5.5 MB at any number of points, plus the 83,328
+    # int8 results per point
+    weights = parity_mod._basis_weights(5)
+    tracemalloc.start()
+    try:
+        got = parity_mod._block_packings(5, 0x12345678, weights, slice(0, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (8, weights.shape[1]) and got.dtype == np.int8
+    assert peak < 7_000_000 + got.nbytes
+    one = parity_mod._block_packings(5, 0x12345678, weights, slice(5, 6))
+    assert np.array_equal(one[0], got[5])
 
 
 def test_packing_table_refuses_large_dimension_at_once():

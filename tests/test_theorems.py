@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from paritydt import budget, construct, parity, theorems
+from paritydt import budget, classical, construct, parity, theorems
 from paritydt.boolfn import BooleanFunction
 from paritydt.budget import Budget
 from paritydt.errors import BudgetExceededError
@@ -113,7 +113,7 @@ def _agl_orbits(n):
     the invertible affine maps."""
     xs = np.arange(1 << n)
     maps = [xs ^ (((xs >> j) & 1) << i) for i in range(n) for j in range(n) if i != j] + [xs ^ 1] * (n > 0)
-    bits = parity._code_bits(n, np.arange(1 << (1 << n), dtype=np.uint16)).astype(np.int64)
+    bits = classical._code_marks(n, np.arange(1 << (1 << n), dtype=np.uint16)).astype(np.int64)
     # the table of x -> f(g(x)), for every table f and generator g
     images = [(bits[:, g] << xs).sum(axis=1) for g in maps]
     label = np.arange(len(bits))
@@ -127,7 +127,7 @@ def _agl_orbits(n):
 
 
 def _key_groups(n, tables):
-    key = theorems._orbit_key(parity._code_bits(n, tables))
+    key = theorems._orbit_key(classical._code_marks(n, tables))
     return np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(), return_inverse=True)[1]
 
 
@@ -145,7 +145,7 @@ def test_dense_cover_is_constant_on_each_key_group():
     # orbits: an affine map permutes the inputs and the cosets, so the
     # number of inputs each mask covers is an orbit invariant
     group = _key_groups(4, np.arange(1 << 16, dtype=np.uint16)).tolist()
-    covered = [parity._code_bits(4, mask).sum(axis=1).tolist() for mask in parity._dense_cover(4)]
+    covered = [classical._code_marks(4, mask).sum(axis=1).tolist() for mask in parity._dense_cover(4)]
     assert len(set(zip(group, *covered))) == len(set(group)) == 32
 
 
@@ -163,7 +163,7 @@ def test_orbit_measures_match_direct_kernels(n):
     else:
         tables = np.random.default_rng(22).integers(0, 1 << 16, 4096).astype(np.uint16)
     b, cv = theorems._orbit_measures(n, tables)
-    bits, scan = parity._code_bits(n, tables), parity._coset_scan(n)
+    bits, scan = classical._code_marks(n, tables), parity._coset_scan(n)
     direct = np.concatenate([parity._max_over_cosets(bits[lo:lo + 256], scan)[0] for lo in range(0, len(bits), 256)])
     assert (b == direct).all()
     assert (cv == parity._dense_measures(n, tables)[3]).all()
