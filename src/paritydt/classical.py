@@ -123,23 +123,15 @@ def decision_depth(f: BooleanFunction) -> tuple[int, DecisionTree]:
     budget.require("decision_depth", n, "decision_depth limited to arity")
     t = f.table
     full = (1 << n) - 1
+    const = _constant_subcubes(n, t)
     memo: dict[tuple[int, int], tuple[int, int]] = {}  # (mask, vals) -> (depth, var or -1)
-
-    def subcube_constant(mask: int, vals: int) -> bool:
-        free = full & ~mask
-        want = (t >> vals) & 1
-        sub = free
-        while sub:
-            if ((t >> (vals | sub)) & 1) != want:
-                return False
-            sub = (sub - 1) & free
-        return True
 
     def best(mask: int, vals: int) -> int:
         got = memo.get((mask, vals))
         if got is not None:
             return got[0]
-        if subcube_constant(mask, vals):
+        # vals is the subcube's member whose free coordinates are 0
+        if (const[full & ~mask] >> vals) & 1:
             memo[(mask, vals)] = (0, -1)
             return 0
         bd, bi = None, -1
@@ -178,64 +170,51 @@ def certificate_complexity(f: BooleanFunction, x: Gf2Vector) -> tuple[int, Class
     budget.require("certificate", n, "certificate_complexity limited to arity")
     if x.width != n:
         raise DimensionError("input width mismatch")
-    t = f.table
+    const = _constant_subcubes(n, f.table)
     xb = x.bits
-    want = (t >> xb) & 1
     full = (1 << n) - 1
     for k in range(n + 1):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            smask = 0
-            for j in combo:
-                smask |= 1 << (j - 1)
-            free = full & ~smask
-            ok = True
-            sub = free
-            while True:
-                if ((t >> (xb ^ sub)) & 1) != want:
-                    ok = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-            if ok:
-                return k, ClassicalCertificate(combo, tuple((xb >> (j - 1)) & 1 for j in combo))
+        for combo in itertools.combinations(range(n), k):
+            if (const[full & ~sum(1 << j for j in combo)] >> xb) & 1:
+                return k, ClassicalCertificate(tuple(j + 1 for j in combo), tuple((xb >> j) & 1 for j in combo))
     raise AssertionError("unreachable: the full assignment always certifies")
 
 
-@lru_cache(maxsize=4096)
-def _certificate_profile(arity: int, table: int) -> bytes:
-    """Per-input certificate size, all inputs at once.
+@lru_cache(maxsize=8)
+def _constant_subcubes(n: int, table: int) -> tuple[int, ...]:
+    """For every set M of free coordinates, the inputs x (as a 2^n-bit
+    set) at which the table is constant on x + span{e_j : j in M}.
 
-    For every set M of free coordinates, OR- and AND-smear the table
-    along M; inputs where both smears agree sit in a constant subcube
-    with |M| free coordinates.
+    With b in M and P = M - {b}, that subcube is x's subcube along P and
+    x ^ e_b's, so f is constant on it when it is on both halves and
+    f(x) = f(x ^ e_b).  Decision depth, the certificate profile and every
+    certificate witness of one table read one such pass.
     """
-    n = arity
-    size = 1 << n
-    full = (1 << size) - 1
-    or_t = [0] * (1 << n)
-    and_t = [0] * (1 << n)
-    or_t[0] = and_t[0] = table
-    eq_by_pop = [0] * (n + 1)
-    eq_by_pop[0] = full
+    full = (1 << (1 << n)) - 1
+    # agree[b]: the inputs x with f(x) = f(x ^ e_b)
+    agree = [full ^ table ^ _table_xor_translate(table, n, 1 << b) for b in range(n)]
+    out = [full] * (1 << n)
     for mask in range(1, 1 << n):
         b = (mask & -mask).bit_length() - 1
-        parent = mask & (mask - 1)
-        po = _table_xor_translate(or_t[parent], n, 1 << b)
-        pa = _table_xor_translate(and_t[parent], n, 1 << b)
-        or_t[mask] = or_t[parent] | po
-        and_t[mask] = and_t[parent] & pa
-        eq_by_pop[mask.bit_count()] |= full & ~(or_t[mask] ^ and_t[mask])
-    out = bytearray(size)
-    remaining = full
-    for s in range(n, -1, -1):
-        new = eq_by_pop[s] & remaining
-        val = n - s
+        parent = out[mask & (mask - 1)]
+        out[mask] = parent & _table_xor_translate(parent, n, 1 << b) & agree[b]
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _certificate_profile(n: int, table: int) -> bytes:
+    """Per-input certificate size, all inputs at once: n less the most
+    free coordinates of a constant subcube through the input."""
+    const = _constant_subcubes(n, table)
+    out = bytearray(1 << n)
+    remaining = const[0]  # every input
+    for mask in sorted(range(1 << n), key=int.bit_count, reverse=True):
+        new = const[mask] & remaining
+        remaining ^= new
         while new:
             low = new & -new
-            out[low.bit_length() - 1] = val
+            out[low.bit_length() - 1] = n - mask.bit_count()
             new ^= low
-        remaining &= ~eq_by_pop[s]
     return bytes(out)
 
 

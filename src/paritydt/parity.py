@@ -668,12 +668,19 @@ def _coset_scan(n: int) -> tuple[tuple[int, tuple[Coset, ...], np.ndarray], ...]
     members) group per dimension from n down, direction spaces in
     _subspace_rows order, then rhs increasing; members[i] lists cosets[i]
     in restrict's canonical frame order."""
+    dtype = np.min_scalar_type((1 << n) - 1)
     out = []
     for dim in range(n, -1, -1):
         # each direction space's orthogonal complement spans the constraints
-        cons = [Gf2Matrix.from_bits(_kernel_bits(v, n), n) for v in _subspace_rows(n, dim)]
-        cosets = tuple(Coset(n, c, Gf2Vector(c.nrows, r)) for c in cons for r in range(1 << c.nrows))
-        members = np.array([h.member_bits() for h in cosets], dtype=np.min_scalar_type((1 << n) - 1))
+        spaces = list(_subspace_rows(n, dim))
+        cons = [_kernel_bits(v, n) for v in spaces]
+        k = n - dim
+        cosets = tuple(Coset(n, Gf2Matrix.from_bits(c, n), Gf2Vector(k, r)) for c in cons for r in range(1 << k))
+        # a stable sort by class key (x's rhs) puts each coset's least member first
+        key = _images(np.array(cons, dtype=dtype).reshape(len(spaces), k), n)
+        least = np.argsort(key, axis=1, kind="stable")[:, :: 1 << dim, None].astype(dtype)
+        span = _spans(np.array(spaces, dtype=dtype).reshape(len(spaces), dim))
+        members = (least ^ span[:, None]).reshape(len(cosets), 1 << dim)
         members.setflags(write=False)
         out.append((dim, cosets, members))
     return tuple(out)

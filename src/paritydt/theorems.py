@@ -460,13 +460,15 @@ def run_verification_suite(
     if threads is not None and threads < 1:
         raise ParitydtError(f"threads must be >= 1, got {threads}")
     _check_budgets(fam, theorems)
-    tables = _family_tables(fam)
+    tables = None  # built when a theorem first sweeps the family
     # workers beyond the CPU count would only contend for the same CPUs
     workers = min(threads or 1, os.cpu_count() or 1)
     results = []
     for th in theorems:
         t0 = time.perf_counter()
         fixed = THEOREMS[th].instance
+        if fixed is None and tables is None:
+            tables = _family_tables(fam)
         n, items = (fam.n, tables) if fixed is None else (fixed.arity, [fixed.table])
         if workers == 1 or len(items) < 4 * workers:
             found = _sweep((th, n, items, fam.seed, 0))

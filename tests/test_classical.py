@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import subcube_oracle
 from packing_oracle import reference_block_sensitivity, reference_bs_scan
 
 from paritydt import budget, classical, gf2
@@ -55,6 +56,8 @@ def oracle_depth(f):
 
 
 def oracle_cert(f, xb):
+    """The first pinned set (0-based, by size then lexicographically) that
+    forces f's value at xb."""
     n = f.arity
     want = f.value_at(xb)
     for k in range(n + 1):
@@ -64,7 +67,7 @@ def oracle_cert(f, xb):
                 for y in range(1 << n)
                 if all(((y >> j) & 1) == ((xb >> j) & 1) for j in combo)
             ):
-                return k
+                return combo
     raise AssertionError
 
 
@@ -154,8 +157,10 @@ def test_certificate_matches_oracle_all_n3():
         prof = []
         for x in range(8):
             k, cert = certificate_complexity(f, Gf2Vector(3, x))
-            assert k == oracle_cert(f, x)
-            assert cert.size == k
+            # the witness is the first pinned set, by size then lexicographically
+            first = oracle_cert(f, x)
+            assert k == len(first) == cert.size
+            assert cert.indices == tuple(j + 1 for j in first)
             # the witness pins x's own values and forces f
             want = f.value_at(x)
             for j, v in zip(cert.indices, cert.values):
@@ -211,6 +216,64 @@ def test_certificate_profile_and_maximizing_input():
     assert maximizing_input(prof, table, 0) == 3
     assert maximizing_input(prof, table, 1) == 1
     assert maximizing_input(prof, 0, 1) is None
+
+
+def _assert_matches_subcube_walks(f, inputs=None, depth=True):
+    """The depth tree, the certificate witness at every input (or at
+    ``inputs``) and, at every input, the certificate profile bytes, each
+    against the walk over the subcube's points."""
+    n = f.arity
+    if depth:
+        d, tree = decision_depth(f)
+        ref_d, ref_tree = subcube_oracle.decision_depth(f)
+        assert d == ref_d, f.spec
+        assert tree_jsonable(tree) == tree_jsonable(ref_tree), f.spec
+    points = range(1 << n) if inputs is None else inputs
+    certs = [subcube_oracle.certificate_complexity(f, x) for x in points]
+    for x, ref in zip(points, certs, strict=True):
+        assert certificate_complexity(f, Gf2Vector(n, x)) == ref, (f.spec, x)
+    if inputs is None:
+        assert classical._certificate_profile(n, f.table) == bytes(k for k, _ in certs), f.spec
+
+
+def _seeded_tables(n, seed):
+    """A random, a sparse (AND of three draws) and a dense (OR of three
+    draws) n-bit table."""
+    rnd = random.Random(seed)
+    draws = [rnd.getrandbits(1 << n) for _ in range(7)]
+    return [draws[0], draws[1] & draws[2] & draws[3], draws[4] | draws[5] | draws[6]]
+
+
+def test_subcube_walks_every_table_to_n3_and_seeded_n4():
+    for n in range(4):
+        for t in range(1 << (1 << n)):
+            _assert_matches_subcube_walks(BooleanFunction(n, t))
+    rnd = random.Random(25)
+    for _ in range(400):
+        _assert_matches_subcube_walks(BooleanFunction(4, rnd.getrandbits(16)))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_subcube_walks_seeded_random_sparse_dense(n):
+    for t in _seeded_tables(n, n):
+        _assert_matches_subcube_walks(BooleanFunction(n, t))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"zoo:{name}:{n}" for name in ("and", "or", "parity", "dictator") for n in (1, 5, 8)]
+    + [f"zoo:maj:{n}" for n in (3, 5, 7, 9)],
+)
+def test_subcube_walks_zoo(spec):
+    _assert_matches_subcube_walks(parse_function_spec(spec))
+
+
+def test_subcube_walks_at_the_caps():
+    for n in (9, 10):
+        f = BooleanFunction(n, random.Random(n).getrandbits(1 << n))
+        _assert_matches_subcube_walks(f, inputs=[])
+    f = BooleanFunction(12, random.Random(12).getrandbits(1 << 12))
+    _assert_matches_subcube_walks(f, inputs=[0, 1234, 4095], depth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +372,7 @@ def test_bs_at_most_c_all_n3():
 
 def test_symmetrized_matches_brute_n2():
     gl2 = list(enumerate_gl(2))
-    oracles = {"d": oracle_depth, "c": lambda g: max(oracle_cert(g, x) for x in range(4)),
+    oracles = {"d": oracle_depth, "c": lambda g: max(len(oracle_cert(g, x)) for x in range(4)),
                "bs": lambda g: max(oracle_bs(g, x) for x in range(4))}
     for t in range(16):
         f = BooleanFunction(2, t)

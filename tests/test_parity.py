@@ -987,7 +987,8 @@ def test_pbs_witness_matches_reference_n4_seeded():
         assert parity_bs(f) == reference_parity_bs(f), f.spec
 
 
-@pytest.mark.parametrize("n", range(5))
+# n = 5 is the largest arity parity_bs builds the scan for (2,451 cosets)
+@pytest.mark.parametrize("n", range(6))
 def test_coset_scan_matches_subspace_construction(n):
     """Directions by decreasing dimension in _subspace_rows order,
     constraints their orthogonal complement, right-hand sides increasing."""

@@ -180,6 +180,24 @@ def test_thm1_screen_refuses_no_constant_family():
     assert (r.instances, r.violations) == (4, [])
 
 
+def test_fixed_instance_theorem_builds_no_family(monkeypatch):
+    def refuse(fam):
+        raise AssertionError("family built for a fixed-instance theorem")
+
+    monkeypatch.setattr(theorems, "_family_tables", refuse)
+    (r,) = theorems.run_verification_suite("random:24:100:1", ["example-nonmonotone"])
+    assert (r.instances, r.violations) == (1, [])
+    # zoo:all:0 has no zoo functions to build, and none is needed
+    (r,) = theorems.run_verification_suite("zoo:all:0", ["example-nonmonotone"])
+    assert (r.instances, r.violations) == (1, [])
+    # a theorem that sweeps the family builds it once, for all of them
+    built = []
+    monkeypatch.setattr(theorems, "_family_tables", lambda fam: built.append(fam) or [0b0110, 0b1000])
+    got = theorems.run_verification_suite("random:2:2:0", ["example-nonmonotone", "eq1", "eq2"])
+    assert [r.instances for r in got] == [1, 2, 2]
+    assert built == [theorems.parse_family("random:2:2:0")]
+
+
 # ---------------------------------------------------------------------------
 # first violations of the coset scans, planted; the records were taken
 # before the scans read their restricted tables in one gather per dimension
