@@ -179,12 +179,6 @@ def _localize(f: BooleanFunction | RestrictedFunction) -> RestrictedFunction:
 # parity certificates
 # ---------------------------------------------------------------------------
 
-# every table of dimension m <= DENSE_MAX_DIM reads its depth and
-# certificate profile from dense tables of all 2^(2^m) codes, built on
-# first use; the memo dicts hold larger dimensions
-_profile_cache: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
-
-
 # the dual bases and class keys of every frame up to this dimension are
 # kept, one pair of read-only arrays per (m, k): 28 pairs, with 2,825
 # frames and 180 KiB of keys at m = 6; larger dimensions are streamed
@@ -221,19 +215,17 @@ def _coset_classes(m: int, table: int, k: int) -> Iterator[tuple[np.ndarray, np.
         yield rows, key, count
 
 
+# an entry holds its witness rows: about 21 KB at m = 10
+@lru_cache(maxsize=256)
 def _cxor_scan(m: int, table: int) -> tuple[bytes, np.ndarray]:
     """Smallest certifying codimension k = profile[y] of every local
     input y, with its witness rows[y, :k] (rows[y, k:] are 0): the dual
     rows of the first frame, in _subspace_rows order, whose coset through
-    y is constant.  Memoized above DENSE_MAX_DIM.
+    y is constant.
 
     Codimension by codimension, mark the inputs whose coset in some frame
     is constant; the point cosets at k = m cover the rest.
     """
-    memo = _profile_cache if m > DENSE_MAX_DIM else {}
-    cached = memo.get((m, table))
-    if cached is not None:
-        return cached
     size = 1 << m
     out = np.full(size, m, dtype=np.uint8)
     wit = np.zeros((size, m), dtype=np.min_scalar_type(size - 1))
@@ -252,8 +244,7 @@ def _cxor_scan(m: int, table: int) -> tuple[bytes, np.ndarray]:
             break
     wit[remaining] = 1 << np.arange(m)
     wit.setflags(write=False)
-    memo[(m, table)] = res = (out.tobytes(), wit)
-    return res
+    return out.tobytes(), wit
 
 
 def _cxor_profile(m: int, table: int) -> bytes:
@@ -363,24 +354,17 @@ def c_xor(f: BooleanFunction | RestrictedFunction) -> int:
 # parity decision tree depth
 # ---------------------------------------------------------------------------
 
-_split_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-_dxor_memo: dict[tuple[int, int], tuple[int, int | None]] = {}
-
-
+# every (m, w) up to m = 10: 2,046 keys
+@lru_cache(maxsize=1 << 11)
 def _split_frames(m: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(gather indices for answer 0, for answer 1) of the two
     restrictions along query w, in canonical frames."""
-    got = _split_cache.get((m, w))
-    if got is not None:
-        return got
     vrows = _kernel_bits([w], m)
     pts = _span_order(vrows)
     off1 = 1 << ((w & -w).bit_length() - 1)
     idx0 = tuple(pts)
     idx1 = tuple(off1 ^ p for p in pts)
-    res = (idx0, idx1)
-    _split_cache[(m, w)] = res
-    return res
+    return idx0, idx1
 
 
 @lru_cache(maxsize=DENSE_MAX_DIM + 1)
@@ -422,6 +406,7 @@ def _linear_part(m: int, table: int) -> int | None:
 
 
 def _dxor(m: int, table: int) -> tuple[int, int | None]:
+    # the dense lookups stay uncached, so they always read _dense_depth
     if m <= DENSE_MAX_DIM:
         depth, query = _dense_depth(m)
         d = int(depth[table])
@@ -429,9 +414,13 @@ def _dxor(m: int, table: int) -> tuple[int, int | None]:
     full = (1 << (1 << m)) - 1
     if table == 0 or table == full:
         return 0, None
-    got = _dxor_memo.get((m, table))
-    if got is not None:
-        return got
+    return _dxor_search(m, table)
+
+
+# holds the 2.1M tables that a seeded quartic at m = 8 searches
+@lru_cache(maxsize=1 << 22)
+def _dxor_search(m: int, table: int) -> tuple[int, int]:
+    """_dxor of a nonconstant table above DENSE_MAX_DIM."""
     a = _linear_part(m, table)
     if a is not None:
         # every other query leaves both halves nonconstant, so the scan
@@ -454,7 +443,6 @@ def _dxor(m: int, table: int) -> tuple[int, int | None]:
             lb = half
         if best == lb:
             break
-    _dxor_memo[(m, table)] = (best, best_w)
     return best, best_w
 
 
@@ -639,17 +627,13 @@ def sampled_weak_parity_bs(
     return v, Gf2Matrix.from_bits(rows[j], m)
 
 
-_wbs_agg_cache: dict[tuple[int, int], int] = {}
-
-
+# all 65,814 tables of dimension <= 4, and room for dimension-5 restrictions
+@lru_cache(maxsize=1 << 17)
 def _wbs_aggregate(m: int, table: int) -> int:
-    got = _wbs_agg_cache.get((m, table))
-    if got is None:
-        # a constant needs no bases, so it passes at any dimension
-        constant = table == 0 or table == (1 << (1 << m)) - 1
-        got = 0 if constant else _weak_scan(m, table, _basis_weights(m))[0]
-        _wbs_agg_cache[(m, table)] = got
-    return got
+    # a constant needs no bases, so it passes at any dimension
+    if table == 0 or table == (1 << (1 << m)) - 1:
+        return 0
+    return _weak_scan(m, table, _basis_weights(m))[0]
 
 
 def wbs_xor(f: BooleanFunction | RestrictedFunction) -> int:

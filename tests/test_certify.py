@@ -266,8 +266,8 @@ def test_verify_rejects_certificates_of_another_width():
 @pytest.mark.parametrize("n,seed", [(4, 11), (6, 12)])
 def test_essential_set_scans_once(monkeypatch, n, seed):
     # one certificate scan per function, and within it each codimension's
-    # frames once; the empty memo makes the n = 6 scan run
-    monkeypatch.setattr(parity_mod, "_profile_cache", {})
+    # frames once; the emptied memo makes the scan run
+    parity_mod._cxor_scan.cache_clear()
     scans, classes = [], []
     scan, coset_classes = parity_mod._cxor_scan, parity_mod._coset_classes
 

@@ -280,28 +280,31 @@ def test_verify_gl_sweeps_at_arity_0(capsys, family, count):
 
 def test_verify_leaves_no_small_dimension_memo_entries(capsys):
     # every table of dimension <= 4 is read from the dense tables, so the
-    # sweep cannot pass on a memo hit and the memos do not grow with it
-    memos = (parity._dxor_memo, parity._profile_cache)
-    before = [dict(memo) for memo in memos]
+    # sweep cannot pass on a memo hit and never looks a memo up
+    memos = (parity._dxor_search, parity._cxor_scan)
+    before = [memo.cache_info() for memo in memos]
     code, got = run_json(capsys, ["verify", "--family", "exhaustive:3", "--theorems", "thm1,prop-cd"])
     assert code == 0
     assert [r["instances"] for r in got["results"]] == [256, 256]
-    assert [dict(memo) for memo in memos] == before
-    assert not [key for memo in memos for key in memo if key[0] <= parity.DENSE_MAX_DIM]
+    assert [memo.cache_info() for memo in memos] == before
 
 
+@pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize(
     "argv",
     [["measure", "--measures", "cxor,c0xor,c1xor"], ["comm", "--protocol", "nondet", "--sweep"]],
     ids=["measure", "comm"],
 )
-def test_certificate_witnesses_leave_no_small_dimension_profile_entries(capsys, argv):
-    # below the dense tables' dimension the witness scan runs unmemoized
-    before = set(parity._profile_cache)
-    code = run(argv[:1] + ["--fn", "tt:4:0110100110110001"] + argv[1:])
+def test_certificate_witnesses_share_one_scan(capsys, argv, n):
+    # the certificate witnesses of one table (cxor, c0xor and c1xor, or
+    # the nondeterministic protocol's) read one scan, at every dimension
+    spec = BooleanFunction(n, random.Random(n).getrandbits(1 << n)).spec
+    parity._cxor_scan.cache_clear()
+    code = run(argv[:1] + ["--fn", spec] + argv[1:])
     capsys.readouterr()
     assert code == 0
-    assert not [key for key in set(parity._profile_cache) - before if key[0] <= parity.DENSE_MAX_DIM]
+    info = parity._cxor_scan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_verify_zoo_family(capsys):

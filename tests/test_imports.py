@@ -1,8 +1,9 @@
 """Static checks on the package sources: every top-level import is used,
 every name a module exports in ``__all__`` exists, every private
 module-level function or constant is read, no function cache is
-unbounded, no ``np.unique`` dedupes along an axis, and importing the CLI
-builds no dense table."""
+unbounded, no module-level name starts as an empty container (the shape
+of a hand-rolled memo, which no bound holds), no ``np.unique`` dedupes
+along an axis, and importing the CLI builds no dense table."""
 
 import ast
 import importlib
@@ -126,6 +127,50 @@ def test_unbounded_cache_is_reported():
         "@lru_cache\ndef e(n): pass\n"
     )
     assert unbounded_caches(source) == ["a (line 4)", "b (line 7)", "c (line 10)"]
+
+
+def module_level_containers(source: str) -> list[str]:
+    """Module-level names bound to an empty ``{}``, ``[]``, ``dict()``,
+    ``list()`` or ``set()``: a memo that grows by hand has no size bound,
+    where an ``lru_cache`` has one."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        literal = (isinstance(value, ast.Dict) and not value.keys) or (isinstance(value, ast.List) and not value.elts)
+        call = (isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set")
+                and not value.args and not value.keywords)
+        if literal or call:
+            out += [f"{n.id} (line {node.lineno})" for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_module_level_memos(name):
+    assert module_level_containers((SRC / f"{name}.py").read_text()) == []
+
+
+def test_module_level_memo_is_reported():
+    source = (
+        "from functools import lru_cache\n\n"
+        "_memo: dict[int, int] = {}\n"
+        "_seen = []\n"
+        "_a = _b = dict()\n"
+        "_keys = set()\n"
+        "_lists = list()\n"
+        "_CAPS = {'d': 8}\n"
+        "_ORDER = [1, 2]\n"
+        "_UNION = set([1])\n"
+        "_hint: dict\n\n"
+        "def f(n):\n    local = {}\n    return local\n"
+    )
+    assert module_level_containers(source) == [
+        "_memo (line 3)", "_seen (line 4)", "_a (line 5)", "_b (line 5)", "_keys (line 6)", "_lists (line 7)",
+    ]
 
 
 def axis_uniques(source: str) -> list[str]:

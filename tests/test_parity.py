@@ -522,9 +522,9 @@ def test_frame_keys_kept_up_to_six_then_streamed():
 
 
 def test_certificate_first_frame_past_chunk(monkeypatch):
-    # 7 frames a chunk; the profile memo starts empty, so every scan runs
-    # the kernel under the small chunks, and at m = 4 it is never memoized
-    monkeypatch.setattr(parity_mod, "_profile_cache", {})
+    # 7 frames a chunk; the scan memo starts empty, so every scan runs
+    # the kernel under the small chunks
+    parity_mod._cxor_scan.cache_clear()
     rnd = random.Random(77)
     late = dict.fromkeys((4, 5, 6), 0)
     for m in (5, 5, 5, 5, 6, 4, 4, 4):
@@ -536,7 +536,7 @@ def test_certificate_first_frame_past_chunk(monkeypatch):
             # on the identity frame the witness rows are the frame's own
             index = list(_subspace_rows(m, k)).index(cert.coset.constraints.row_bits)
             late[m] += index >= 7
-    # some first certifying frames lie past the first chunk, memoized or not
+    # some first certifying frames lie past the first chunk
     assert late[4] and late[5] + late[6]
 
 
@@ -680,6 +680,38 @@ def test_dense_tables_are_read_only():
     assert parity_mod._dense_cover(4).nbytes == 1 << 19
 
 
+def test_dense_lookups_are_read_fresh(monkeypatch):
+    # no memo keeps a dense lookup: a planted depth table is followed while
+    # it is in place, and forgotten once it is gone
+    m = parity_mod.DENSE_MAX_DIM
+    real = parity_mod._dense_depth
+    depth, query = real(m)
+    tables = [0x6996, 0xE8E8, 0x8000, 0x00FF, 0x0000]
+    want = [parity_mod._dxor(m, t) for t in tables]
+    bad = depth + 1
+    monkeypatch.setattr(parity_mod, "_dense_depth", lambda k: (bad, query) if k == m else real(k))
+    for t, (d, _) in zip(tables, want):
+        assert parity_mod._dxor(m, t)[0] == d_xor(BooleanFunction(m, t)) == d + 1
+    monkeypatch.undo()
+    for t, (d, w) in zip(tables, want):
+        assert parity_mod._dxor(m, t) == (d, w)
+        assert d_xor(BooleanFunction(m, t)) == d
+
+
+def test_depth_search_memo_holds_no_dense_key():
+    # a table of dimension <= DENSE_MAX_DIM never reaches the search memo,
+    # and a 5-bit search reads its halves from the dense table and keeps
+    # only its own entry
+    m = parity_mod.DENSE_MAX_DIM
+    parity_mod._dxor_search.cache_clear()
+    for t in (0x6996, 0xE8E8, 0x8000, 0x00FF):
+        parity_mod._dxor(m, t)
+        parity_depth(BooleanFunction(m, t))
+    assert parity_mod._dxor_search.cache_info().currsize == 0
+    d_xor(BooleanFunction(m + 1, random.Random(4).getrandbits(1 << (m + 1))))
+    assert parity_mod._dxor_search.cache_info().currsize == 1
+
+
 def test_dense_cover_build_stays_small():
     # the derivative arrays are built 2^14 tables at a time, so the build
     # peaks below 2 MB and keeps only its 512 KiB of masks
@@ -730,10 +762,11 @@ def test_depth_above_dense_tables_matches_scalar_search():
 
 def test_affine_tables_skip_the_query_scan():
     # parity:8 is answered before any restriction is searched, so the
-    # memo gains no 7-dimensional key
-    before = set(parity_mod._dxor_memo)
+    # search memo gains its own key and no 7-dimensional one
+    parity_mod._dxor_search.cache_clear()
     assert parity_depth(parse_function_spec("zoo:parity:8"))[0] == 1
-    assert not [key for key in set(parity_mod._dxor_memo) - before if key[0] == 7]
+    info = parity_mod._dxor_search.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
     for m in range(5, 9):
         for spec in (f"zoo:parity:{m}", f"anf:{m}:x2+x5+1", f"anf:{m}:x1+x{m}", f"anf:{m}:x{m - 2}",
                      f"anf:{m}:x1*x2+x3"):
