@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import budget
-from .boolfn import BooleanFunction, _table_bits, _table_xor_translate
+from .boolfn import BooleanFunction, _low_mask, _table_bits, _table_xor_translate
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import Gf2Matrix, Gf2Vector, _gl_chunks, _images, _row_chunks, _sample_gl_rows
 
@@ -116,44 +116,41 @@ class BlockFamily:
 def decision_depth(f: BooleanFunction) -> tuple[int, DecisionTree]:
     """Exact deterministic decision tree depth with an optimal tree.
 
-    Memoized over restriction patterns (which variables are fixed, and
-    to what); ties between variables break toward the smallest index.
+    levels[d][M] holds the inputs x whose subcube along the free
+    coordinates M some tree of depth <= d decides.  Level 0 is the
+    constant-subcube pass; level d adds x when some i in M leaves both
+    halves, through x and x ^ e_i, in level d - 1.  A node queries the
+    first such i, so ties break toward the smallest index.
     """
     n = f.arity
     budget.require("decision_depth", n, "decision_depth limited to arity")
     t = f.table
     full = (1 << n) - 1
-    const = _constant_subcubes(n, t)
-    memo: dict[tuple[int, int], tuple[int, int]] = {}  # (mask, vals) -> (depth, var or -1)
+    steps = [(1 << i, _low_mask(n, i)) for i in range(n)]
+    levels = [_constant_subcubes(n, t)]
+    while not levels[-1][full] & 1:
+        prev, level = levels[-1], list(levels[-1])
+        for mask in range(1, full + 1):
+            for b, lo in steps:
+                if mask & b:
+                    half = prev[mask ^ b]
+                    p = half & (half >> b) & lo
+                    level[mask] |= p | (p << b)
+        levels.append(level)
 
-    def best(mask: int, vals: int) -> int:
-        got = memo.get((mask, vals))
-        if got is not None:
-            return got[0]
-        # vals is the subcube's member whose free coordinates are 0
-        if (const[full & ~mask] >> vals) & 1:
-            memo[(mask, vals)] = (0, -1)
-            return 0
-        bd, bi = None, -1
+    def build(mask: int, x: int) -> DecisionTree:
+        # x is the subcube's member whose free coordinates are 0
+        d = next(d for d, level in enumerate(levels) if (level[mask] >> x) & 1)
+        if d == 0:
+            return DecisionLeaf((t >> x) & 1)
         for i in range(n):
             b = 1 << i
-            if mask & b:
-                continue
-            d = 1 + max(best(mask | b, vals), best(mask | b, vals | b))
-            if bd is None or d < bd:
-                bd, bi = d, i
-        memo[(mask, vals)] = (bd, bi)
-        return bd
+            half = levels[d - 1][mask & ~b]
+            if mask & b and half >> x & 1 and half >> (x | b) & 1:
+                return DecisionNode(i + 1, build(mask ^ b, x), build(mask ^ b, x | b))
+        raise AssertionError("unreachable: level d holds x through some coordinate")
 
-    def build(mask: int, vals: int) -> DecisionTree:
-        d, i = memo[(mask, vals)]
-        if i < 0:
-            return DecisionLeaf((t >> vals) & 1)
-        b = 1 << i
-        return DecisionNode(i + 1, build(mask | b, vals), build(mask | b, vals | b))
-
-    depth = best(0, 0)
-    return depth, build(0, 0)
+    return len(levels) - 1, build(full, 0)
 
 
 # ---------------------------------------------------------------------------

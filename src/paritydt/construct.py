@@ -116,7 +116,7 @@ def _leaf_query_bits(seed: int, t: int, n: int) -> int:
 
 
 def sample_thm_exp(k: int, seed: int) -> GapInstance:
-    """The seeded construction on n = 2^k variables (3 <= k <= 4).
+    """The construction on n = 2^k variables (3 <= k <= 4) from a signed 64-bit seed.
 
     The tree has depth k+4: coordinate queries x_1..x_{k+3}, then one
     random parity per last-layer node whose answer is the output.
@@ -125,6 +125,8 @@ def sample_thm_exp(k: int, seed: int) -> GapInstance:
         raise DomainError(f"construction needs k >= {THM_EXP_MIN_K}, got {k}")
     if k > THM_EXP_MAX_K:
         raise BudgetExceededError(f"construction materializes 2^(2^k) table bits; limited to k <= {THM_EXP_MAX_K}")
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise DomainError(f"seed must be a signed 64-bit integer, got {seed}")
     n = 1 << k
     m3 = k + 3
     queries = [_leaf_query_bits(seed, t, n) for t in range(1, (8 * n) + 1)]

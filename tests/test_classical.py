@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ def test_subcube_walks_at_the_caps():
         _assert_matches_subcube_walks(f, inputs=[])
     f = BooleanFunction(12, random.Random(12).getrandbits(1 << 12))
     _assert_matches_subcube_walks(f, inputs=[0, 1234, 4095], depth=False)
+
+
+def test_decision_depth_memory_at_the_cap():
+    # the levels are 2^n-bit sets, one per free mask and depth, so the
+    # search (with its constant-subcube pass) peaks near 1.4 MB at n = 10
+    f = BooleanFunction(10, random.Random(10).getrandbits(1 << 10))
+    classical._constant_subcubes.cache_clear()
+    tracemalloc.start()
+    try:
+        decision_depth(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------

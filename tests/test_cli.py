@@ -643,6 +643,12 @@ def test_construct_range_errors(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert run(["construct", "thm-exp", "--k", "5"]) == 2
     assert capsys.readouterr().err.startswith("refused:")
+    for seed in (1 << 63, -(1 << 63) - 1):
+        assert run(["construct", "thm-exp", "--k", "3", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be a signed 64-bit integer, got {seed}\n"
+    for seed in ((1 << 63) - 1, -(1 << 63)):
+        code, got = run_json(capsys, ["construct", "thm-exp", "--k", "3", "--seed", str(seed)])
+        assert code == 0 and got["results"]["seed"] == seed
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,10 @@ def test_sample_thm_exp_range():
         sample_thm_exp(2, 0)
     with pytest.raises(BudgetExceededError):
         sample_thm_exp(5, 0)
+    # the seed is hashed as 8 signed bytes; past them, refuse rather than overflow
+    for seed in (1 << 63, -(1 << 63) - 1):
+        with pytest.raises(DomainError, match="signed 64-bit"):
+            sample_thm_exp(3, seed)
 
 
 def test_sample_thm_exp_deterministic():
