@@ -1,7 +1,8 @@
 """Print a table of exact complexity measures for the named function zoo.
 
 Cells show "-" where the exact search is out of budget at that arity;
-pass --sample to fill those with seeded lower-bound estimates instead.
+pass --sample to fill those with seeded estimates instead: an upper
+bound for wbsxor, printed "<=", and a lower bound for bsxor, printed ">=".
 """
 
 import argparse
@@ -69,7 +70,7 @@ def measure_row(name: str, n: int, sample: bool, seed: int) -> list[str]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sample", action="store_true",
-                    help="replace out-of-budget cells with seeded lower bounds")
+                    help="replace out-of-budget cells with seeded bounds (wbsxor <=, bsxor >=)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

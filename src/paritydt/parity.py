@@ -26,7 +26,6 @@ from .boolfn import (
     _table_xor_translate,
     as_restricted,
     local_point,
-    restrict,
 )
 from .classical import DENSE_MAX_DIM, _aggregate, _code_marks, _distinct_tables, _packing_dp, _packing_table
 from .errors import BudgetExceededError, DimensionError, DomainError
@@ -446,32 +445,43 @@ def _dxor_search(m: int, table: int) -> tuple[int, int]:
     return best, best_w
 
 
-# trees are immutable, so a rebuilt subtree is shared by every tree above it
-@lru_cache(maxsize=1 << 12)
-def _rebuild_tree(m: int, table: int) -> ParityDecisionTree:
+def _tree(m: int, table: int, n: int, lifts: Sequence[tuple[int, int]]) -> ParityDecisionTree:
+    """The tree along _dxor's first queries, over width-n ambient inputs:
+    local coordinate i is <x, c> ^ r for (c, r) = lifts[i].  The half
+    along w is _split_frames' canonical restriction, which drops the top
+    bit h of w and, on the 1-half, flips the low bit p by its offset e_p;
+    lift_form is linear, so these steps compose to its lift."""
     d, w = _dxor(m, table)
     if d == 0:
         return ParityLeaf(table & 1)
-    f = BooleanFunction(m, table)
-    query = Gf2Matrix.from_bits([w], m)
-    # each answer's canonical restriction has the table _split_frames gathers
-    halves = [restrict(f, Coset(m, query, Gf2Vector(1, b))) for b in (0, 1)]
-    return ParityQuery(Gf2Vector(m, w), *(_to_ambient(_rebuild_tree(m - 1, rf.local.table), rf) for rf in halves))
+    h, p = w.bit_length() - 1, (w & -w).bit_length() - 1
+    c = r = 0
+    halves = ([], [])
+    for i, (ci, ri) in enumerate(lifts):
+        if (w >> i) & 1:
+            c ^= ci
+            r ^= ri
+        if i != h:
+            halves[0].append((ci, ri))
+            halves[1].append((ci, ri ^ (i == p)))
+    kids = [_tree(m - 1, _gather(table, idx), n, sub) for idx, sub in zip(_split_frames(m, w), halves)]
+    # an odd sum of offset bits answers opposite to the local form
+    return ParityQuery(Gf2Vector(n, c), *(kids[::-1] if r else kids))
 
 
 def parity_depth(f: BooleanFunction | RestrictedFunction) -> tuple[int, ParityDecisionTree]:
-    """Exact parity decision tree depth with an optimal tree.
-
-    Branch and bound over all 2^m - 1 query classes, memoized on the
-    local truth table of the canonical restriction (a table lookup at
-    dimension <= 4); ties break toward the smallest packed query.
-    """
+    """Exact parity decision tree depth with an optimal tree, built top
+    down in one pass from the first optimal query _dxor keeps for each
+    local table (ties break toward the smallest packed query)."""
     rf = _localize(f)
     d = d_xor(rf)
-    tree = _rebuild_tree(rf.local.arity, rf.local.table)
+    m = rf.local.arity
     if isinstance(f, RestrictedFunction):
-        tree = _to_ambient(tree, rf)
-    return d, tree
+        lifts = [rf.lift_form(1 << i) for i in range(m)]
+    else:
+        # the identity frame lifts each coordinate to itself
+        lifts = [(1 << i, 0) for i in range(m)]
+    return d, _tree(m, rf.local.table, rf.ambient.ncols, lifts)
 
 
 def d_xor(f: BooleanFunction | RestrictedFunction) -> int:
@@ -480,19 +490,6 @@ def d_xor(f: BooleanFunction | RestrictedFunction) -> int:
     rf = _localize(f)
     budget.require("parity_depth", rf.ambient.ncols, "parity_depth limited to ambient arity")
     return _dxor(rf.local.arity, rf.local.table)[0]
-
-
-def _to_ambient(t: ParityDecisionTree, rf: RestrictedFunction) -> ParityDecisionTree:
-    """Re-express a tree over rf's local coordinates as one over ambient
-    inputs; a lifted query whose offset bit is 1 answers opposite to its
-    local form, so the children swap."""
-    if isinstance(t, ParityLeaf):
-        return t
-    c, flip = rf.lift_form(t.query.bits)
-    c0t, c1t = _to_ambient(t.child0, rf), _to_ambient(t.child1, rf)
-    if flip:
-        c0t, c1t = c1t, c0t
-    return ParityQuery(Gf2Vector(rf.ambient.ncols, c), c0t, c1t)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from paritydt.boolfn import (
     local_point,
     parse_function_spec,
     restrict,
+    restrict_with_frame,
 )
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
 from paritydt.gf2 import (
@@ -35,6 +36,8 @@ from paritydt.gf2 import (
     _span_order,
     _subspace_rows,
     parity,
+    sample_gl,
+    solve,
 )
 from paritydt.parity import (
     MeasureValue,
@@ -355,10 +358,10 @@ def reference_dxor(m, table):
 
 
 def reference_lift(t, pivots, m, off):
-    """The pivot lift that RestrictedFunction.lift_form replaced in tree
-    rebuilding: local coordinate i maps to the pivot coordinate of the
-    i-th canonical direction row, and a lifted query with odd overlap
-    against the branch offset swaps its children."""
+    """The pivot lift of a whole subtree, the step parity._tree takes one
+    unit form at a time: local coordinate i maps to the pivot coordinate
+    of the i-th canonical direction row, and a lifted query with odd
+    overlap against the branch offset swaps its children."""
     if isinstance(t, ParityLeaf):
         return t
     lifted = sum(1 << p for i, p in enumerate(pivots) if (t.query.bits >> i) & 1)
@@ -622,17 +625,71 @@ def test_d_xor_is_the_depth_of_parity_depth():
         assert d_xor(g) == parity_depth(g)[0]
 
 
-def test_rebuilt_trees_pinned_and_cache_bounded():
-    # 500 trees from random.Random(4), digest recorded before the rebuilt
-    # subtrees were shared through a cache
+def test_rebuilt_trees_pinned():
+    # 500 trees from random.Random(4), digest recorded when each subtree
+    # was still restricted and lifted through objects, with no cache
     rnd = random.Random(4)
     trees = [pdt_jsonable(parity_depth(BooleanFunction(4, rnd.getrandbits(16)))[1]) for _ in range(500)]
     digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()
     assert digest == "385c5fb1b58c2fd9f65da09a0c9b3ddded49a27c50f30801370b47030127f6ae"
-    info = parity_mod._rebuild_tree.cache_info()
-    assert info.maxsize == 1 << 12 and info.hits > 0
-    # a cached tree is the same object, so no caller may change it
-    assert parity_mod._rebuild_tree(4, 0x6996) is parity_mod._rebuild_tree(4, 0x6996)
+
+
+def test_restricted_trees_pinned():
+    # 100 seeded restrictions at ambient n <= 8 and local dimension 2 to
+    # 5, every other one through a frame of mixed rows and another offset;
+    # digest recorded while each subtree was lifted again at every level
+    rnd = random.Random(28)
+    trees = []
+    for i in range(100):
+        n = rnd.randint(2, 8)
+        codim = n - rnd.randint(2, min(n, 5))
+        cons = sample_gl(n, 1, rnd.getrandbits(32))[0].row_bits[:codim]
+        h = solve(Gf2Matrix.from_bits(cons, n), Gf2Vector(codim, rnd.getrandbits(codim)))
+        f = BooleanFunction(n, rnd.getrandbits(1 << n))
+        rf = restrict(f, h)
+        if i % 2:
+            mix = sample_gl(h.dim, 1, rnd.getrandbits(32))[0].row_bits
+            rows = [rf.ambient_point(a) ^ rf.offset.bits for a in mix]
+            rf = restrict_with_frame(f, h, rows, rf.ambient_point(rnd.getrandbits(h.dim)))
+        d, tree = parity_depth(rf)
+        assert pdt_depth(tree) == d
+        for x in h.member_bits():
+            assert pdt_eval(tree, x) == f.value_at(x)
+        trees.append(pdt_jsonable(tree))
+    digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()
+    assert digest == "18f2181a8aa700a19b9d8f652ffbb6bcb618d28d4235965d84f9e177d9756913"
+
+
+def test_half_step_agrees_with_lift_form():
+    # the canonical half along w keeps every coordinate but the top bit h
+    # of w, and its 1-half's offset e_p (p the low bit of w) sets the
+    # offset bit of coordinate p: the step parity._tree takes, and the
+    # frame _split_frames gathers
+    for m in range(1, 7):
+        for w in range(1, 1 << m):
+            h, p = w.bit_length() - 1, (w & -w).bit_length() - 1
+            others = [i for i in range(m) if i != h]
+            for b in (0, 1):
+                rf = restrict(BooleanFunction(m, 0), Coset(m, Gf2Matrix.from_bits([w], m), Gf2Vector(1, b)))
+                assert [rf.lift_form(1 << j) for j in range(m - 1)] == [(1 << i, b & (i == p)) for i in others]
+                assert [rf.ambient_point(y) for y in range(1 << (m - 1))] == list(parity_mod._split_frames(m, w)[b])
+
+
+def test_trees_of_boolean_functions_build_no_coset(monkeypatch):
+    # past the warm d_xor memos, a tree over the full space is built from
+    # the recorded queries alone: no coset, restriction or solve
+    fs = [parse_function_spec(s) for s in ("zoo:maj:7", "zoo:and:5", "anf:6:x1*x2+x3")]
+    fs.append(BooleanFunction(6, random.Random(28).getrandbits(64)))
+    for f in fs:
+        d_xor(f)
+
+    def refuse(self):
+        raise AssertionError("a coset was built")
+
+    monkeypatch.setattr(gf2.Coset, "__post_init__", refuse)
+    for f in fs:
+        d, tree = parity_depth(f)
+        assert pdt_depth(tree) == d
 
 
 # ---------------------------------------------------------------------------
