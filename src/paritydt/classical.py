@@ -9,7 +9,7 @@ return deterministic witnesses (first hit in a fixed scan order).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -381,21 +381,12 @@ def bs(f: BooleanFunction) -> int:
 # minima over invertible changes of basis
 # ---------------------------------------------------------------------------
 
-# each measure's Budget field, and the refusal it gives past it
+# each measure's function, its Budget field, and the refusal it gives past it
 _MEASURES = {
-    "d": ("decision_depth", "decision_depth limited to arity"),
-    "c": ("certificate", "certificate aggregates limited to arity"),
-    "bs": ("block_sensitivity", "bs limited to arity"),
+    "d": (lambda g: decision_depth(g)[0], "decision_depth", "decision_depth limited to arity"),
+    "c": (c, "certificate", "certificate aggregates limited to arity"),
+    "bs": (bs, "block_sensitivity", "bs limited to arity"),
 }
-
-
-def _measure_value(measure: str, g: BooleanFunction) -> int:
-    """The value of a measure named in _MEASURES."""
-    if measure == "d":
-        return decision_depth(g)[0]
-    if measure == "c":
-        return c(g)
-    return bs(g)
 
 
 def _distinct_tables(bits: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -411,36 +402,43 @@ def _distinct_tables(bits: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.n
     return [int.from_bytes(t.tobytes(), "little") for t in distinct], inverse
 
 
-def _rotations(
-    f: BooleanFunction, chunks: Iterable[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[int], np.ndarray]]:
-    """Per chunk of matrices B: (rows, img, tables, inverse), where
-    img[i, x] = B_i x and the table of x -> f(B_i x) is
-    tables[inverse[i]], each distinct table listed once."""
-    bits = _table_bits(f.arity, f.table)
-    for rows in chunks:
-        img = _images(rows, f.arity)
-        yield rows, img, *_distinct_tables(bits, img)
+def _best_over(
+    bits: np.ndarray, groups: Iterable[tuple[int, Sequence, np.ndarray]], measure: Callable[[int, int], int], top: int
+) -> tuple[np.ndarray, list]:
+    """For each table (a row of ``bits``, all of one arity), the largest
+    measure(dim, t) over the tables t read at the point lists of
+    ``groups``, with the label of the first point list reaching it.  A
+    group (dim, labels, idx) reads a table of dimension dim at each row
+    of idx, labelled by labels[i].  Each distinct (dim, t) is measured
+    once, and no group is read once every table has reached ``top``."""
+    best = np.full(len(bits), np.iinfo(np.int64).min)
+    witness: list = [None] * len(bits)
+    seen: dict[tuple[int, int], int] = {}
+    for dim, labels, idx in groups:
+        tables, inverse = _distinct_tables(bits, idx)
+        for t in tables:
+            if (dim, t) not in seen:
+                seen[dim, t] = measure(dim, t)
+        vals = np.array([seen[dim, t] for t in tables])[inverse].reshape(len(bits), len(idx))
+        first = vals.argmax(axis=1)
+        for r in np.flatnonzero(vals.max(axis=1) > best).tolist():
+            best[r], witness[r] = vals[r, first[r]], labels[first[r]]
+        if (best >= top).all():
+            break
+    return best, witness
 
 
 def _min_over(measure: str, f: BooleanFunction, chunks: Iterable[np.ndarray]) -> tuple[int, Gf2Matrix]:
     """The least measure of x -> f(Bx) over B in ``chunks``, with the first
-    B reaching it; each distinct table is measured once."""
-    n = f.arity
-    seen: dict[int, int] = {}
-    best = None
-    witness = None
-    for rows, _, tables, inverse in _rotations(f, chunks):
-        for t in tables:
-            if t not in seen:
-                seen[t] = _measure_value(measure, BooleanFunction(n, t))
-        values = np.array([seen[t] for t in tables])[inverse]
-        i = int(np.argmin(values))
-        if best is None or values[i] < best:
-            best, witness = int(values[i]), rows[i]
-            if best == 0:
-                break
-    return best, Gf2Matrix.from_bits([int(r) for r in witness], n)
+    B reaching it."""
+    n, fn = f.arity, _MEASURES[measure][0]
+    best, witness = _best_over(
+        _table_bits(n, f.table)[None],
+        ((n, rows, _images(rows, n)) for rows in chunks),
+        lambda dim, t: -fn(BooleanFunction(dim, t)),
+        0,
+    )
+    return -int(best[0]), Gf2Matrix.from_bits([int(r) for r in witness[0]], n)
 
 
 def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
@@ -464,7 +462,7 @@ def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: in
     if measure not in _MEASURES:
         raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
     # refuse before the gather, as measuring the first table would
-    cap, what = _MEASURES[measure]
+    _, cap, what = _MEASURES[measure]
     budget.require(cap, n, what)
     rows = itertools.chain([tuple(1 << i for i in range(n))], _sample_gl_rows(n, samples, seed))
     return _min_over(measure, f, _row_chunks(rows, n))

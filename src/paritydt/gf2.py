@@ -119,9 +119,8 @@ def _span_order(rows: Sequence[int]) -> list[int]:
     return out
 
 
-# image entries (matrices x 2^n inputs) per chunk of _row_chunks and
-# _gl_chunks: 4,096 matrices at n = 4, so a chunk's arrays stay a few
-# hundred KiB
+# image entries (matrices x 2^n inputs) per chunk of _row_chunks: 4,096
+# matrices at n = 4, so a chunk's arrays stay a few hundred KiB
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -522,21 +521,13 @@ def _bases(n: int, increasing: bool = False) -> Iterator[np.ndarray]:
 
 def _gl_chunks(n: int) -> Iterator[np.ndarray]:
     """The rows of every invertible n x n matrix in lexicographic order,
-    as (k, n) arrays of _chunk_size(n) matrices each (the last may be
-    short)."""
+    in _bases(n)'s blocks: 15 of 1,344 matrices at n = 4, 930 of 10,752
+    at n = 5."""
     if not 0 <= n <= MAX_WIDTH:
         raise DimensionError(f"n {n} outside 0..{MAX_WIDTH}")
     if n > GL_ENUM_MAX:
         raise BudgetExceededError(f"full GL enumeration limited to n <= {GL_ENUM_MAX}, got {n}; use sample_gl")
-    size = _chunk_size(n)
-    rest = np.zeros((0, n), dtype=np.uint8)
-    for block in _bases(n):
-        rest = np.concatenate([rest, block])
-        while len(rest) >= size:
-            yield rest[:size]
-            rest = rest[size:]
-    if len(rest):
-        yield rest
+    yield from _bases(n)
 
 
 def enumerate_gl(n: int) -> Iterator[Gf2Matrix]:

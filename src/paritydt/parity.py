@@ -11,7 +11,7 @@ enumeration order within, so witnesses are reproducible.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +27,7 @@ from .boolfn import (
     as_restricted,
     local_point,
 )
-from .classical import DENSE_MAX_DIM, _aggregate, _code_marks, _distinct_tables, _packing_dp, _packing_table
+from .classical import DENSE_MAX_DIM, _aggregate, _best_over, _code_marks, _packing_dp, _packing_table
 from .errors import BudgetExceededError, DimensionError, DomainError
 from .gf2 import (
     Coset,
@@ -667,29 +667,6 @@ def _coset_scan(n: int) -> tuple[tuple[int, tuple[Coset, ...], np.ndarray], ...]
     return tuple(out)
 
 
-def _max_over_cosets(
-    bits: np.ndarray, scan: Iterable[tuple[int, Sequence[Coset], np.ndarray]]
-) -> tuple[np.ndarray, list[Coset]]:
-    """The largest wbs_xor of each table's restrictions to the cosets of
-    ``scan`` (groups as _coset_scan gives them), with the first coset
-    reaching it; ``bits`` holds one table of one arity per row.  Each
-    distinct restricted table is measured once."""
-    rows = np.arange(len(bits))
-    arity = bits.shape[1].bit_length() - 1
-    best = np.full(len(bits), -1)
-    witness: list[Coset] = [None] * len(bits)
-    for dim, cosets, members in scan:
-        tables, inverse = _distinct_tables(bits, members)
-        vals = np.array([_wbs_aggregate(dim, t) for t in tables])[inverse].reshape(len(bits), len(cosets))
-        top = vals.argmax(axis=1)
-        for r in np.flatnonzero(vals[rows, top] > best).tolist():
-            best[r], witness[r] = vals[r, top[r]], cosets[top[r]]
-        # no restriction's wbs_xor exceeds the arity
-        if (best == arity).all():
-            break
-    return best, witness
-
-
 def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     """max over cosets H of wbs_xor(f restricted to H), with a witness H.
 
@@ -705,7 +682,7 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     # bitmaps of dimension n; past BITMAP_MAX_DIM they refuse here, before
     # the scan is built
     _basis_weights(n)
-    best, witness = _max_over_cosets(_table_bits(n, f.table)[None], _coset_scan(n))
+    best, witness = _best_over(_table_bits(n, f.table)[None], _coset_scan(n), _wbs_aggregate, n)
     return int(best[0]), witness[0]
 
 
@@ -730,7 +707,6 @@ def sampled_parity_bs(f: BooleanFunction, samples: int, seed: int) -> tuple[int,
                 rows.append(v)
         # independent rows are consistent with any rhs
         candidates.append(_solve_bits(rows, [rnd.getrandbits(1) for _ in rows], n))
-    best, witness = _max_over_cosets(
-        _table_bits(n, f.table)[None], ((h.dim, (h,), np.array([h.member_bits()])) for h in candidates)
-    )
+    groups = ((h.dim, (h,), np.array([h.member_bits()])) for h in candidates)
+    best, witness = _best_over(_table_bits(n, f.table)[None], groups, _wbs_aggregate, n)
     return int(best[0]), witness[0]

@@ -25,7 +25,7 @@ from . import budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, _table_bits, _walsh, fourier, restrict, shift
 from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_chunks, _parities, _row_chunks, _sample_gl_rows
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_chunks, _images, _parities, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "Family",
@@ -170,7 +170,7 @@ def _orbit_measures(n: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # as one void item each, rows sort as with axis=0 (classical._distinct_tables)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    b = parity._max_over_cosets(bits[first], parity._coset_scan(n))[0]
+    b = classical._best_over(bits[first], parity._coset_scan(n), parity._wbs_aggregate, n)[0]
     cv = np.array([max(parity._cxor_scan(n, int(t))[0]) for t in tables[first]])
     return b[inverse], cv[inverse]
 
@@ -205,7 +205,10 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
     target = parity.cxor_profile(f)
     # the profile of x -> f(By) at y is a certificate size at x = By
     best = np.full(size, 255, dtype=np.uint8)
-    for _, img, tables, inverse in classical._rotations(f, _gl_chunks(n)):
+    bits = _table_bits(n, f.table)
+    for rows in _gl_chunks(n):
+        img = _images(rows, n)
+        tables, inverse = classical._distinct_tables(bits, img)
         profiles = np.array([list(classical.certificate_profile(BooleanFunction(n, t))) for t in tables],
                             dtype=np.uint8)
         np.minimum.at(best, img, profiles[inverse])
@@ -224,7 +227,8 @@ def _monotone(f: BooleanFunction, seed: int) -> dict | None:
     for dim, cosets, members in parity._coset_scan(f.arity)[1:]:
         tables, inverse = classical._distinct_tables(bits, members)
         # every distinct restriction's bs+ from one batched scan
-        pbs = parity._max_over_cosets(np.array([_table_bits(dim, t) for t in tables]), parity._coset_scan(dim))[0]
+        pbs = classical._best_over(np.array([_table_bits(dim, t) for t in tables]), parity._coset_scan(dim),
+                                   parity._wbs_aggregate, dim)[0]
         measured = [(parity.c_xor(BooleanFunction(dim, t)), int(b)) for t, b in zip(tables, pbs)]
         for h, j in zip(cosets, inverse.tolist()):
             crf, brf = measured[j]
@@ -249,9 +253,10 @@ def _invariance(f: BooleanFunction, seed: int) -> dict | None:
     rows = list(_sample_gl_rows(n, 20, rnd.getrandbits(63)))
     transforms = [("shift", c, shift(f, c).table) for c in shifts]
     # the rotated tables x -> f(Bx) come from one gather
-    transforms += [("rotate", b, tables[i])
-                   for chunk, _, tables, inverse in classical._rotations(f, _row_chunks(rows, n))
-                   for b, i in zip(chunk, inverse)]
+    bits = _table_bits(n, f.table)
+    for chunk in _row_chunks(rows, n):
+        tables, inverse = classical._distinct_tables(bits, _images(chunk, n))
+        transforms += [("rotate", b, tables[i]) for b, i in zip(chunk, inverse)]
     # each distinct table is measured once, in check order
     measured = {f.table: base}
     for kind, arg, t in transforms:

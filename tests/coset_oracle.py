@@ -1,6 +1,7 @@
 """The per-table coset scan the package batched, kept as the tests'
-reference for parity._max_over_cosets: one table, one gather and dedupe
-per group, and one wbs_xor per distinct restricted table."""
+reference for the coset scans of classical._best_over: one table, one
+gather and dedupe per group, and one wbs_xor per distinct restricted
+table."""
 
 import numpy as np
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import subcube_oracle
+from basis_oracle import gl_rows
 from packing_oracle import reference_block_sensitivity, reference_bs_scan
 
-from paritydt import budget, classical, gf2
-from paritydt.boolfn import BooleanFunction, parse_function_spec, rotate
+from paritydt import budget, classical, gf2, parity
+from paritydt.boolfn import BooleanFunction, _table_bits, parse_function_spec, rotate
 from paritydt.classical import (
     DecisionNode,
     bs,
@@ -29,7 +30,7 @@ from paritydt.classical import (
     tree_jsonable,
 )
 from paritydt.errors import BudgetExceededError, DomainError
-from paritydt.gf2 import Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, enumerate_gl, sample_gl
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,8 @@ def test_sampled_symmetrized_refuses_before_the_gather(monkeypatch):
     def no_gather(*args):
         raise AssertionError("rotations gathered before the cap check")
 
-    monkeypatch.setattr(classical, "_rotations", no_gather)
+    for name in ("_images", "_distinct_tables"):
+        monkeypatch.setattr(classical, name, no_gather)
     b = budget.current.get()
     for name, measure, n in (
         ("d", decision_depth, b.decision_depth + 1),
@@ -471,7 +473,7 @@ def reference_min_over(f, mats, memo):
         for m in ("d", "c", "bs"):
             key = (m, g.arity, g.table)
             if key not in memo:
-                memo[key] = classical._measure_value(m, g)
+                memo[key] = classical._MEASURES[m][0](g)
             if m not in best or memo[key] < best[m][0]:
                 best[m] = (memo[key], b.row_bits)
     return best
@@ -512,24 +514,31 @@ def test_sampled_symmetrized_matches_reference_scan(n, seed):
 
 
 def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
-    # 7 matrices a chunk: GL(3) spans 24 chunks, the identity plus 30
-    # samples at n = 6 spans 5
-    monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << 3)
-    assert [len(rows) for rows in classical._gl_chunks(3)] == [7] * 24
+    # GL(4) comes in 15 blocks of 1,344 matrices; the reference takes the
+    # first minimiser over all 20,160 at once
+    assert [len(rows) for rows in classical._gl_chunks(4)] == [1344] * 15
+    mats = list(gl_rows(4))
+    img = gf2._images(np.array(mats, dtype=np.uint8), 4)
     memo = {}
-    mats = list(enumerate_gl(3))
+    rnd = random.Random(5)
     late = 0
-    for t in range(256):
-        f = BooleanFunction(3, t)
-        want = reference_min_over(f, mats, memo)
+    for _ in range(8):
+        f = BooleanFunction(4, rnd.getrandbits(16))
+        tables = (_table_bits(4, f.table)[img].astype(np.int64) << np.arange(16)).sum(axis=1).tolist()
         for m in ("d", "c", "bs"):
+            for t in set(tables):
+                if (m, t) not in memo:
+                    memo[m, t] = classical._MEASURES[m][0](BooleanFunction(4, t))
+            vals = [memo[m, t] for t in tables]
+            k = int(np.argmin(vals))
             v, b = symmetrized(m, f)
-            assert (v, b.row_bits) == want[m], (t, m)
-            late += mats.index(b) >= 7
-    assert late  # some first minimisers lie past the first chunk
+            assert (v, b.row_bits) == (vals[k], mats[k]), (f.table, m)
+            late += k >= 1344
+    assert late  # some first minimisers lie past the first block
+    # 7 matrices a chunk: the identity plus 30 samples at n = 6 spans 5
     monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << 6)
     f = BooleanFunction(6, random.Random(4).getrandbits(64))
-    want = reference_min_over(f, [Gf2Matrix.identity(6)] + sample_gl(6, 30, 5), memo)
+    want = reference_min_over(f, [Gf2Matrix.identity(6)] + sample_gl(6, 30, 5), {})
     for m in ("d", "c", "bs"):
         v, b = sampled_symmetrized(m, f, 30, 5)
         assert (v, b.row_bits) == want[m], m
@@ -575,3 +584,67 @@ def test_distinct_tables_match_axis_unique(points):
     for idx in (np.zeros((1, points), dtype=np.intp), np.zeros((5, points), dtype=np.intp)):
         tables, inverse = classical._distinct_tables(bits, idx)
         assert tables == [(1 << points) - 1] and inverse.tolist() == [0] * len(idx)
+
+
+# ---------------------------------------------------------------------------
+# the one first-extremum scan, _best_over
+# ---------------------------------------------------------------------------
+
+def test_best_over_keeps_the_first_label_on_ties():
+    # the measure is the weight of the table read
+    bits = np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)
+    groups = [
+        (1, "ab", np.array([[0, 1], [2, 3]])),
+        (1, "cd", np.array([[1, 2], [0, 3]])),
+        (2, "e", np.array([[0, 1, 2, 3]])),
+    ]
+    # row 0 weighs 1, 1 | 2, 0 | 2 and row 1 weighs 2, 0 | 1, 1 | 2: a tie
+    # within a group and a tie across groups both keep the earlier label
+    best, labels = classical._best_over(bits, groups, lambda dim, t: t.bit_count(), 99)
+    assert best.tolist() == [2, 2] and labels == ["c", "a"]
+    # the least weight, by the negated measure: row 0 reaches 0 at d and
+    # row 1 at b, so the last group is never read
+    best, labels = classical._best_over(bits, _guarded(groups, 2), lambda dim, t: -t.bit_count(), 0)
+    assert best.tolist() == [0, 0] and labels == ["d", "b"]
+
+
+def test_best_over_measures_each_distinct_table_once(monkeypatch):
+    f = BooleanFunction(4, random.Random(7).getrandbits(16))
+    mats = list(gl_rows(4))
+    img = gf2._images(np.array(mats, dtype=np.uint8), 4)
+    tables = (_table_bits(4, f.table)[img].astype(np.int64) << np.arange(16)).sum(axis=1).tolist()
+    # the same tables recur in several of GL(4)'s 15 blocks
+    per_block = [set(tables[lo:lo + 1344]) for lo in range(0, len(tables), 1344)]
+    assert sum(map(len, per_block)) > len(set(tables))
+    calls = []
+    _, cap, what = classical._MEASURES["c"]
+    monkeypatch.setitem(classical._MEASURES, "c", (lambda g: calls.append(g.table) or c(g), cap, what))
+    v, b = symmetrized("c", f)
+    assert sorted(calls) == sorted(set(tables))
+    assert v == min(c(BooleanFunction(4, t)) for t in set(tables)) > 0
+
+
+def _guarded(groups, k):
+    """The first k groups, then an error if the scan reads another."""
+    it = iter(groups)
+    yield from itertools.islice(it, k)
+    raise AssertionError("a group was read after every table reached top")
+
+
+def test_best_over_stops_once_every_table_reaches_top(monkeypatch):
+    # every rotation of a constant measures 0, so GL(5)'s first block is
+    # the only one read
+    gl_chunks = classical._gl_chunks
+    monkeypatch.setattr(classical, "_gl_chunks", lambda n: _guarded(gl_chunks(n), 1))
+    with budget.extended(5):
+        for t in (0, (1 << 32) - 1):
+            for m in ("d", "c", "bs"):
+                assert symmetrized(m, BooleanFunction(5, t)) == (0, Gf2Matrix.identity(5))
+    # AND has wbs_xor n on the full space, the first coset of the scan
+    coset_scan = parity._coset_scan
+    monkeypatch.setattr(parity, "_coset_scan", lambda n: _guarded(coset_scan(n), 1))
+    for n in range(1, 5):
+        assert parity.parity_bs(parse_function_spec(f"zoo:and:{n}")) == (n, Coset.full_space(n))
+    bits = np.array([_table_bits(4, t) for t in (0x8000, 0x0001, 0x7FFF)], dtype=np.uint8)
+    best, labels = classical._best_over(bits, _guarded(coset_scan(4), 1), parity._wbs_aggregate, 4)
+    assert best.tolist() == [4] * 3 and labels == [Coset.full_space(4)] * 3

@@ -309,9 +309,10 @@ def test_enumerate_gl_matches_reference_recursion(n):
     assert list(gl_rows(n)) == want
     assert [m.row_bits for m in enumerate_gl(n)] == want
     assert [tuple(rows) for block in gf2._bases(n) for rows in block.tolist()] == want
+    # the chunks are _bases' blocks, one per choice of the rows before the last three
     chunks = [chunk.tolist() for chunk in gf2._gl_chunks(n)]
-    assert [tuple(rows) for chunk in chunks for rows in chunk] == want
-    assert all(len(chunk) == gf2._chunk_size(n) for chunk in chunks[:-1])
+    assert chunks == [block.tolist() for block in gf2._bases(n)]
+    assert [len(chunk) for chunk in chunks] == ([1344] * 15 if n == 4 else [gl_order(n)])
 
 
 def test_gl_0_is_the_empty_matrix():
@@ -325,14 +326,14 @@ def test_gl_0_is_the_empty_matrix():
 
 def test_gl_5_walk_memory_flat():
     # GL(5) holds 9,999,360 matrices (50 MB of rows); the walk keeps one
-    # prefix's block and one chunk at a time
+    # prefix's block of 10,752 at a time
     tracemalloc.start()
     try:
-        count = sum(len(chunk) for chunk in gf2._gl_chunks(5))
+        sizes = [len(chunk) for chunk in gf2._gl_chunks(5)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == gl_order(5)
+    assert sizes == [10752] * 930 and sum(sizes) == gl_order(5)
     assert peak < 1 << 20
 
 

@@ -1219,7 +1219,7 @@ def test_pbs_budget():
 def _batched_matches_oracle(n, tables):
     bits = np.array([_table_bits(n, t) for t in tables], dtype=np.uint8)
     scan = parity_mod._coset_scan(n)
-    values, witnesses = parity_mod._max_over_cosets(bits, scan)
+    values, witnesses = classical._best_over(bits, scan, parity_mod._wbs_aggregate, n)
     assert len(values) == len(witnesses) == len(tables)
     for t, v, h in zip(tables, values.tolist(), witnesses, strict=True):
         assert (v, h) == max_over_cosets(BooleanFunction(n, t), scan), (n, t)
