@@ -175,6 +175,19 @@ def _gather(table: int | np.ndarray, idxs: Sequence[int]) -> int | np.ndarray:
     return acc
 
 
+def _gather_all(m: int, idxs: Sequence[int]) -> np.ndarray:
+    """_gather of every 2^m-bit code at ``idxs``, indexed by code, in the
+    least unsigned type that holds len(idxs) bits, for m <= 4: a code's
+    gather is the OR of its bytes' gathers, so at m = 4 it is the outer OR
+    of two 256-entry gathers."""
+    byte = np.arange(1 << min(1 << m, 8), dtype=np.uint16)
+    dtype = np.min_scalar_type((1 << len(idxs)) - 1)
+    low = _gather(byte, idxs).astype(dtype)
+    if m < 4:
+        return low
+    return (_gather(byte << 8, idxs).astype(dtype)[:, None] | low).ravel()
+
+
 def _parse_bits(s: str, at: int | None = None) -> int:
     """The table whose bit i is the 0/1 character s[i].  Any other
     character is refused: as a FunctionSpecError at position at + i when

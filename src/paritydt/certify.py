@@ -84,7 +84,7 @@ def _min_one_certificate(rf) -> tuple[tuple[int, ...], list[int]] | None:
     if table == 0:
         return None
     for k in range(m + 1):
-        for rows, _key, count in _coset_classes(m, table, k):
+        for rows, _key, count in _coset_classes(m, (table,), k):
             full = (count == 1 << (m - k)).ravel()
             if full.any():
                 i, rhs = divmod(int(np.argmax(full)), 1 << k)

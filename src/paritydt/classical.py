@@ -16,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import budget
-from .boolfn import BooleanFunction, _low_mask, _table_bits, _table_xor_translate
+from .boolfn import BooleanFunction, _gather_all, _low_mask, _table_bits, _table_xor_translate
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, _gl_chunks, _images, _row_chunks, _sample_gl_rows
+from .gf2 import Gf2Matrix, Gf2Vector, _gl_chunks, _images, _row_chunks, _sample_gl_rows, _span_order
 
 __all__ = [
     "DecisionLeaf",
@@ -296,17 +296,34 @@ def _code_marks(m: int, codes: np.ndarray) -> np.ndarray:
     return np.unpackbits(raw.T, axis=0, count=1 << m, bitorder="little").view(bool).T
 
 
+def _sublattice(mask: int) -> list[int]:
+    """The block masks inside ``mask``, in the subset-counter order of its
+    coordinates: bit j of a code over them is bit _sublattice(mask)[j] of
+    the code over every block mask."""
+    return _span_order([1 << i for i in range(mask.bit_length()) if (mask >> i) & 1])
+
+
 @lru_cache(maxsize=DENSE_MAX_DIM + 1)
 def _packing_table(m: int) -> np.ndarray:
     """The packing value of every bitmap over the 2^m block masks (64 KiB
-    of int8 at m = 4), built on first use."""
+    of int8 at m = 4), built on first use from the smaller tables, as
+    _packing_dp's last level: coordinate 0 is either left out, or covered
+    by one marked block blk, which leaves the coordinates outside blk."""
     if not 0 <= m <= DENSE_MAX_DIM:
         raise BudgetExceededError(f"packing table limited to dimension <= {DENSE_MAX_DIM}, got {m}")
-    codes = np.arange(1 << (1 << m), dtype=np.uint16)
-    out = np.empty(codes.size, dtype=np.int8)
-    # in chunks of 4096 bitmaps, so the DP's levels stay small
-    for lo in range(0, codes.size, 1 << 12):
-        out[lo : lo + (1 << 12)] = _packing_dp(m, _code_marks(m, codes[lo : lo + (1 << 12)]))[-1]
+    if m == 0:
+        out = np.zeros(2, dtype=np.int8)
+    else:
+        full = (1 << m) - 1
+        # indexing with the uint16 gathers casts them in small buffers,
+        # where take would cast all of them to intp at once
+        out = _packing_table(m - 1)[_gather_all(m, _sublattice(full ^ 1))]
+        for blk in range(1, full + 1, 2):
+            rest = full ^ blk
+            # the codes that mark blk are those with bit blk set
+            marked = out.reshape(-1, 2, 1 << blk)[:, 1]
+            idx = _gather_all(m, _sublattice(rest)).reshape(-1, 2, 1 << blk)[:, 1]
+            np.maximum(marked, _packing_table(rest.bit_count())[idx] + 1, out=marked)
     out.setflags(write=False)
     return out
 
@@ -403,22 +420,27 @@ def _distinct_tables(bits: np.ndarray, idx: np.ndarray) -> tuple[list[int], np.n
 
 
 def _best_over(
-    bits: np.ndarray, groups: Iterable[tuple[int, Sequence, np.ndarray]], measure: Callable[[int, int], int], top: int
+    bits: np.ndarray,
+    groups: Iterable[tuple[int, Sequence, np.ndarray]],
+    measure: Callable[[int, list[int]], Sequence[int]],
+    top: int,
 ) -> tuple[np.ndarray, list]:
     """For each table (a row of ``bits``, all of one arity), the largest
-    measure(dim, t) over the tables t read at the point lists of
-    ``groups``, with the label of the first point list reaching it.  A
-    group (dim, labels, idx) reads a table of dimension dim at each row
-    of idx, labelled by labels[i].  Each distinct (dim, t) is measured
-    once, and no group is read once every table has reached ``top``."""
+    measure over the tables t read at the point lists of ``groups``, with
+    the label of the first point list reaching it.  A group (dim, labels,
+    idx) reads a table of dimension dim at each row of idx, labelled by
+    labels[i].  measure(dim, tables) gives the value of each table of a
+    list; each distinct (dim, t) is measured once, in one call for all
+    the new tables of a group, and no group is read once every table has
+    reached ``top``."""
     best = np.full(len(bits), np.iinfo(np.int64).min)
     witness: list = [None] * len(bits)
     seen: dict[tuple[int, int], int] = {}
     for dim, labels, idx in groups:
         tables, inverse = _distinct_tables(bits, idx)
-        for t in tables:
-            if (dim, t) not in seen:
-                seen[dim, t] = measure(dim, t)
+        new = [t for t in tables if (dim, t) not in seen]
+        if new:
+            seen.update(zip([(dim, t) for t in new], measure(dim, new)))
         vals = np.array([seen[dim, t] for t in tables])[inverse].reshape(len(bits), len(idx))
         first = vals.argmax(axis=1)
         for r in np.flatnonzero(vals.max(axis=1) > best).tolist():
@@ -435,7 +457,7 @@ def _min_over(measure: str, f: BooleanFunction, chunks: Iterable[np.ndarray]) ->
     best, witness = _best_over(
         _table_bits(n, f.table)[None],
         ((n, rows, _images(rows, n)) for rows in chunks),
-        lambda dim, t: -fn(BooleanFunction(dim, t)),
+        lambda dim, tables: [-fn(BooleanFunction(dim, t)) for t in tables],
         0,
     )
     return -int(best[0]), Gf2Matrix.from_bits([int(r) for r in witness[0]], n)

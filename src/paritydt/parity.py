@@ -22,6 +22,7 @@ from .boolfn import (
     BooleanFunction,
     RestrictedFunction,
     _gather,
+    _gather_all,
     _table_bits,
     _table_xor_translate,
     as_restricted,
@@ -193,13 +194,15 @@ def _frame_keys(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, key
 
 
-def _coset_classes(m: int, table: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every codimension-k frame's cosets with their 1-input counts, per
-    chunk of _chunk_size(m) dual bases W (rows) in _subspace_rows order:
-    (rows, key, count), where key[i, y] = W_i y names y's coset of ker W_i
-    (bit j is <w_j, y>) and count[i, c] is the number of 1-inputs in class
-    c.  A class is constant when its count is 0 or 2^(m-k); no direction
-    basis is built."""
+def _coset_classes(
+    m: int, tables: Sequence[int], k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every codimension-k frame's cosets with each table's 1-input counts,
+    per chunk of _chunk_size(m) dual bases W (rows) in _subspace_rows
+    order: (rows, key, count), where key[i, y] = W_i y names y's coset of
+    ker W_i (bit j is <w_j, y>) and count[t, i, c] is the number of
+    1-inputs of tables[t] in class c.  A class is constant when its count
+    is 0 or 2^(m-k); no direction basis is built."""
     if m > FRAME_CACHE_MAX_DIM:
         chunks = ((rows, _images(rows, m)) for rows in _row_chunks(_subspace_rows(m, k), m))
     else:
@@ -207,43 +210,56 @@ def _coset_classes(m: int, table: int, k: int) -> Iterator[tuple[np.ndarray, np.
         rows, key = _frame_keys(m, k)
         size = _chunk_size(m)
         chunks = [(rows[i:i + size], key[i:i + size]) for i in range(0, len(rows), size)]
-    ones = np.flatnonzero(_table_bits(m, table))
+    # every 1-input of every table, as (table, input) pairs; a chunk's
+    # class indices stay below len(tables) << 15, so int32 holds them for
+    # fewer than 2^16 tables
+    owner, ones = np.nonzero(np.array([_table_bits(m, t) for t in tables]))
+    owner = owner.astype(np.int32)
     for rows, key in chunks:
-        cls = key[:, ones] + (np.arange(len(rows))[:, None] << k)
-        count = np.bincount(cls.ravel(), minlength=len(rows) << k).reshape(len(rows), 1 << k)
-        yield rows, key, count
+        frames = len(rows)
+        cls = key[:, ones] + (np.arange(frames, dtype=np.int32)[:, None] << k)
+        cls += (owner * frames) << k
+        count = np.bincount(cls.ravel(), minlength=(len(tables) * frames) << k)
+        yield rows, key, count.reshape(len(tables), frames, 1 << k)
 
 
-# an entry holds its witness rows: about 21 KB at m = 10
-@lru_cache(maxsize=256)
-def _cxor_scan(m: int, table: int) -> tuple[bytes, np.ndarray]:
-    """Smallest certifying codimension k = profile[y] of every local
-    input y, with its witness rows[y, :k] (rows[y, k:] are 0): the dual
-    rows of the first frame, in _subspace_rows order, whose coset through
-    y is constant.
+def _cxor_stack(m: int, tables: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest certifying codimension k = profile[t, y] of every local
+    input y of each table, with its witness rows[t, y, :k] (rows[t, y, k:]
+    are 0): the dual rows of the first frame, in _subspace_rows order,
+    whose coset through y is constant.
 
     Codimension by codimension, mark the inputs whose coset in some frame
     is constant; the point cosets at k = m cover the rest.
     """
     size = 1 << m
-    out = np.full(size, m, dtype=np.uint8)
-    wit = np.zeros((size, m), dtype=np.min_scalar_type(size - 1))
-    remaining = np.ones(size, dtype=bool)
-    chunks = ((k, chunk) for k in range(m) for chunk in _coset_classes(m, table, k))
+    out = np.full((len(tables), size), m, dtype=np.uint8)
+    wit = np.zeros((len(tables), size, m), dtype=np.min_scalar_type(size - 1))
+    remaining = np.ones((len(tables), size), dtype=bool)
+    chunks = ((k, chunk) for k in range(m) for chunk in _coset_classes(m, tables, k))
     for k, (rows, key, count) in chunks:
         const = (count == 0) | (count == size >> k)
-        hit = np.take_along_axis(const, key, axis=1)
-        new = hit.any(axis=0) & remaining
+        # hit[t, i, y]: y's coset in frame i is constant in table t
+        hit = const[:, np.arange(len(rows))[:, None], key]
+        new = hit.any(axis=1) & remaining
         out[new] = k
         # no earlier frame covers the new inputs, so their first hit in
         # this chunk is their first certifying frame
-        wit[new, :k] = rows[hit[:, new].argmax(axis=0)]
+        wit[new, :k] = rows[hit.transpose(0, 2, 1)[new].argmax(axis=1)]
         remaining &= ~new
         if not remaining.any():
             break
     wit[remaining] = 1 << np.arange(m)
+    return out, wit
+
+
+# an entry holds its witness rows: about 21 KB at m = 10
+@lru_cache(maxsize=256)
+def _cxor_scan(m: int, table: int) -> tuple[bytes, np.ndarray]:
+    """_cxor_stack of one table: (profile, read-only witness rows)."""
+    profile, wit = _cxor_stack(m, (table,))
     wit.setflags(write=False)
-    return out.tobytes(), wit
+    return profile[0].tobytes(), wit[0]
 
 
 def _cxor_profile(m: int, table: int) -> bytes:
@@ -372,16 +388,16 @@ def _dense_depth(m: int) -> tuple[np.ndarray, np.ndarray]:
     first optimal query (0 for constants), 64 KiB each at m = 4: a DP
     over both halves of every table along each query, keeping the first
     minimising query, which is where the search below stops."""
-    tables = np.arange(1 << (1 << m), dtype=np.uint16)
+    size = 1 << (1 << m)
     # above any depth, but for the two constants
-    depth = np.full(tables.size, m + 1, dtype=np.int8)
+    depth = np.full(size, m + 1, dtype=np.int8)
     depth[[0, -1]] = 0
-    query = np.zeros(tables.size, dtype=np.uint8)
+    query = np.zeros(size, dtype=np.uint8)
     if m:
         sub = _dense_depth(m - 1)[0]
         for w in range(1, 1 << m):
             idx0, idx1 = _split_frames(m, w)
-            d = 1 + np.maximum(sub.take(_gather(tables, idx0)), sub.take(_gather(tables, idx1)))
+            d = 1 + np.maximum(sub.take(_gather_all(m, idx0)), sub.take(_gather_all(m, idx1)))
             better = d < depth
             depth[better] = d[better]
             query[better] = w
@@ -535,19 +551,20 @@ def _basis_weights(m: int) -> np.ndarray:
     return w
 
 
-def _block_packings(m: int, table: int, weights: np.ndarray, points: slice = slice(None)) -> np.ndarray:
-    """Block sensitivity of the local table at the chosen points (rows)
-    through every basis whose span weights are a column of ``weights``."""
+def _block_packings(m: int, codes: np.ndarray, weights: np.ndarray, points: slice = slice(None)) -> np.ndarray:
+    """Block sensitivity of each local table (an entry of ``codes``) at the
+    chosen points through every basis whose span weights are a column of
+    ``weights``: out[t, i, j] for table t, point i and basis j."""
     pts = np.arange(1 << m)
-    near = _table_bits(m, table)[pts[points, None] ^ pts]  # near[i, v] = f(y_i ^ v)
-    flips = (near != near[:, :1]).astype(weights.dtype)
+    near = _code_marks(m, codes)[:, pts[points, None] ^ pts]  # near[t, i, v] = f_t(y_i ^ v)
+    flips = (near != near[..., :1]).astype(weights.dtype)
     if m <= DENSE_MAX_DIM:
         return _packing_table(m)[(flips @ weights).astype(np.intp)]
     # no 2^(2^m)-entry table: run the DP on the codes' bits, one point at a
     # time, so only one point's codes and DP levels are alive at once
-    out = np.empty((len(flips), weights.shape[1]), dtype=np.int8)
-    for i, row in enumerate(flips):
-        out[i] = _packing_dp(m, _code_marks(m, (row @ weights).astype(np.intp)))[-1]
+    out = np.empty((*flips.shape[:2], weights.shape[1]), dtype=np.int8)
+    for t, i in np.ndindex(*flips.shape[:2]):
+        out[t, i] = _packing_dp(m, _code_marks(m, (flips[t, i] @ weights).astype(np.intp)))[-1]
     return out
 
 
@@ -555,7 +572,7 @@ def _weak_scan(m: int, table: int, weights: np.ndarray, points: slice = slice(No
     """The max over the chosen points of the least block sensitivity
     through the bases whose span weights are the columns of ``weights``,
     with the first minimizing column at the first maximizing point."""
-    vals = _block_packings(m, table, weights, points)
+    vals = _block_packings(m, np.array([table]), weights, points)[0]
     mins = vals.min(axis=1)
     i = int(mins.argmax())
     return int(mins[i]), int(vals[i].argmin())
@@ -624,19 +641,50 @@ def sampled_weak_parity_bs(
     return v, Gf2Matrix.from_bits(rows[j], m)
 
 
-# all 65,814 tables of dimension <= 4, and room for dimension-5 restrictions
-@lru_cache(maxsize=1 << 17)
-def _wbs_aggregate(m: int, table: int) -> int:
-    # a constant needs no bases, so it passes at any dimension
-    if table == 0 or table == (1 << (1 << m)) - 1:
-        return 0
-    return _weak_scan(m, table, _basis_weights(m))[0]
+# codes (tables x points x bases) per chunk of _wbs_scan: with their
+# float and index copies about 200 KiB, one table's worth at m = 4
+_WBS_CHUNK_CODES = 1 << 14
+
+# the dimensions whose every table's wbs_xor is kept, 256 values at m = 3
+WBS_TABLE_MAX_DIM = 3
+
+
+def _wbs_scan(m: int, tables: Sequence[int]) -> list[int]:
+    """wbs_xor of every local table of dimension m in ``tables``, by
+    _block_packings over chunks of at most _WBS_CHUNK_CODES codes (and at
+    least one table)."""
+    # a constant needs no bases, so constants alone pass at any dimension
+    if all(t == 0 or t == (1 << (1 << m)) - 1 for t in tables):
+        return [0] * len(tables)
+    weights = _basis_weights(m)
+    codes = np.array(tables, dtype=np.int64)
+    step = max(1, _WBS_CHUNK_CODES // (weights.shape[1] << m))
+    return [v for lo in range(0, len(codes), step)
+            for v in _block_packings(m, codes[lo:lo + step], weights).min(axis=2).max(axis=1).tolist()]
+
+
+@lru_cache(maxsize=WBS_TABLE_MAX_DIM + 1)
+def _wbs_table(m: int) -> np.ndarray:
+    """wbs_xor of every local table of dimension m <= WBS_TABLE_MAX_DIM,
+    indexed by table, built on first use."""
+    out = np.array(_wbs_scan(m, range(1 << (1 << m))), dtype=np.int8)
+    out.setflags(write=False)
+    return out
+
+
+def _wbs_aggregate(m: int, tables: Sequence[int]) -> list[int]:
+    """wbs_xor of every local table of dimension m in ``tables``: read from
+    _wbs_table up to WBS_TABLE_MAX_DIM, so a small table is measured once
+    per process, and scanned in one batch above it."""
+    if m <= WBS_TABLE_MAX_DIM:
+        return _wbs_table(m)[np.array(tables, dtype=np.intp)].tolist()
+    return _wbs_scan(m, tables)
 
 
 def wbs_xor(f: BooleanFunction | RestrictedFunction) -> int:
     """Weak parity block sensitivity: max over inputs of weak_parity_bs."""
     rf = _localize(f)
-    return _wbs_aggregate(_exact_wbs_dim(rf, None), rf.local.table)
+    return _wbs_aggregate(_exact_wbs_dim(rf, None), [rf.local.table])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +715,20 @@ def _coset_scan(n: int) -> tuple[tuple[int, tuple[Coset, ...], np.ndarray], ...]
     return tuple(out)
 
 
+def _pbs_values(n: int, tables: Sequence[int]) -> tuple[np.ndarray, list[Coset]]:
+    """parity_bs of every n-bit table: the values and the witnesses, from
+    one scan of the cosets for all of them."""
+    budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
+    # every restriction of a constant is constant
+    if all(t == 0 or t == (1 << (1 << n)) - 1 for t in tables):
+        return np.zeros(len(tables), dtype=np.int64), [Coset.full_space(n)] * len(tables)
+    # the scan opens on the full space, whose wbs_xor needs the block
+    # bitmaps of dimension n; past BITMAP_MAX_DIM they refuse here, before
+    # the scan is built
+    _basis_weights(n)
+    return _best_over(np.array([_table_bits(n, t) for t in tables]), _coset_scan(n), _wbs_aggregate, n)
+
+
 def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     """max over cosets H of wbs_xor(f restricted to H), with a witness H.
 
@@ -674,15 +736,9 @@ def parity_bs(f: BooleanFunction) -> tuple[int, Coset]:
     right-hand sides increasing; the witness is the first maximizer.
     """
     n = f.arity
+    # refused here too, so a refusal enters no private helper
     budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
-    # every restriction of a constant is constant
-    if f.is_constant():
-        return 0, Coset.full_space(n)
-    # the scan opens on the full space, whose wbs_xor needs the block
-    # bitmaps of dimension n; past BITMAP_MAX_DIM they refuse here, before
-    # the scan is built
-    _basis_weights(n)
-    best, witness = _best_over(_table_bits(n, f.table)[None], _coset_scan(n), _wbs_aggregate, n)
+    best, witness = _pbs_values(n, [f.table])
     return int(best[0]), witness[0]
 
 

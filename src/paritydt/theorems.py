@@ -133,7 +133,7 @@ def _thm1(f: BooleanFunction, seed: int) -> dict | None:
     return None
 
 
-def _thm1_screen(n: int, tables: np.ndarray) -> np.ndarray:
+def _thm1_screen(n: int, tables: np.ndarray, known: dict) -> np.ndarray:
     """_thm1's violators among dimension-n codes, from the dense tables."""
     nonconstant = (tables != 0) & (tables != (1 << (1 << n)) - 1)
     # the predicate measures no constant table, so it cannot refuse one
@@ -160,26 +160,34 @@ def _orbit_key(bits: np.ndarray) -> np.ndarray:
     return np.concatenate([spec[:, :1], np.sort(spec[:, 1:], axis=1)], axis=1)
 
 
-def _orbit_measures(n: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_measures(n: int, tables: np.ndarray, known: dict) -> tuple[np.ndarray, np.ndarray]:
     """(bs⊕, C⊕) of every table in a uint16 array of dimension-n codes.
     Both are invariant under the affine maps, so each is measured on the
-    first table of each orbit only: bs⊕ by the batched coset scan, C⊕ by
-    the certificate scan."""
+    first table of each orbit only, and only for the orbit keys not yet
+    in ``known``, which maps each key's bytes to its (bs⊕, C⊕): bs⊕ by
+    one batched coset scan, C⊕ by one certificate scan of the stack."""
     bits = classical._code_marks(n, tables)
     key = _orbit_key(bits)
     # as one void item each, rows sort as with axis=0 (classical._distinct_tables)
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    b = classical._best_over(bits[first], parity._coset_scan(n), parity._wbs_aggregate, n)[0]
-    cv = np.array([max(parity._cxor_scan(n, int(t))[0]) for t in tables[first]])
+    distinct, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keys = distinct.tolist()
+    new = [i for i, k in enumerate(keys) if k not in known]
+    if new:
+        reps = tables[first[new]].tolist()
+        b = parity._pbs_values(n, reps)[0]
+        cv = parity._cxor_stack(n, reps)[0].max(axis=1)
+        known.update(zip([keys[i] for i in new], zip(b.tolist(), cv.tolist())))
+    b, cv = np.array([known[k] for k in keys]).reshape(len(keys), 2).T
     return b[inverse], cv[inverse]
 
 
-def _thm2_screen(n: int, tables: np.ndarray) -> np.ndarray:
-    """_thm2's violators among dimension-n codes, measured once per orbit."""
+def _thm2_screen(n: int, tables: np.ndarray, known: dict) -> np.ndarray:
+    """_thm2's violators among dimension-n codes, measured once per orbit
+    of the sweep."""
     budget.require("parity_bs", n, "parity_bs exact search limited to arity", "; use sampled_parity_bs")
     budget.require("parity_certificate", n, "parity certificate aggregates limited to ambient arity")
-    b, cv = _orbit_measures(n, tables)
+    b, cv = _orbit_measures(n, tables, known)
     return ~((b <= cv) & (cv <= b * b))
 
 
@@ -191,7 +199,7 @@ def _prop_cd(f: BooleanFunction, seed: int) -> dict | None:
     return None
 
 
-def _prop_cd_screen(n: int, tables: np.ndarray) -> np.ndarray:
+def _prop_cd_screen(n: int, tables: np.ndarray, known: dict) -> np.ndarray:
     """_prop_cd's violators among dimension-n codes, from the dense tables."""
     budget.require("parity_certificate", n, "parity certificate aggregates limited to ambient arity")
     d, _, _, cv = parity._dense_measures(n, tables)
@@ -227,8 +235,7 @@ def _monotone(f: BooleanFunction, seed: int) -> dict | None:
     for dim, cosets, members in parity._coset_scan(f.arity)[1:]:
         tables, inverse = classical._distinct_tables(bits, members)
         # every distinct restriction's bs+ from one batched scan
-        pbs = classical._best_over(np.array([_table_bits(dim, t) for t in tables]), parity._coset_scan(dim),
-                                   parity._wbs_aggregate, dim)[0]
+        pbs = parity._pbs_values(dim, tables)[0]
         measured = [(parity.c_xor(BooleanFunction(dim, t)), int(b)) for t, b in zip(tables, pbs)]
         for h, j in zip(cosets, inverse.tolist()):
             crf, brf = measured[j]
@@ -239,15 +246,18 @@ def _monotone(f: BooleanFunction, seed: int) -> dict | None:
     return None
 
 
-def _parity_measures(f: BooleanFunction) -> tuple[int, int, int]:
-    return parity.d_xor(f), parity.c_xor(f), parity.parity_bs(f)[0]
+def _parity_measures(n: int, tables: list[int]) -> list[tuple[int, int, int]]:
+    """(D⊕, C⊕, bs⊕) of each n-bit table, bs⊕ of all of them from one scan
+    of the cosets."""
+    dc = [(parity.d_xor(g), parity.c_xor(g)) for g in (BooleanFunction(n, t) for t in tables)]
+    return [(d, c, b) for (d, c), b in zip(dc, parity._pbs_values(n, tables)[0].tolist())]
 
 
 def _invariance(f: BooleanFunction, seed: int) -> dict | None:
     """D+, C+ and bs+ are unchanged by 20 seeded shifts and 20 seeded
     changes of basis."""
     n = f.arity
-    base = _parity_measures(f)
+    (base,) = _parity_measures(n, [f.table])
     rnd = random.Random(f"invariance:{seed}:{n}:{f.table}")
     shifts = [Gf2Vector(n, rnd.randrange(1 << n)) for _ in range(20)]
     rows = list(_sample_gl_rows(n, 20, rnd.getrandbits(63)))
@@ -257,11 +267,10 @@ def _invariance(f: BooleanFunction, seed: int) -> dict | None:
     for chunk in _row_chunks(rows, n):
         tables, inverse = classical._distinct_tables(bits, _images(chunk, n))
         transforms += [("rotate", b, tables[i]) for b, i in zip(chunk, inverse)]
-    # each distinct table is measured once, in check order
-    measured = {f.table: base}
+    # each distinct table is measured once, all of them in one call
+    new = list(dict.fromkeys(t for _, _, t in transforms if t != f.table))
+    measured = {f.table: base, **dict(zip(new, _parity_measures(n, new)))}
     for kind, arg, t in transforms:
-        if t not in measured:
-            measured[t] = _parity_measures(BooleanFunction(n, t))
         if measured[t] != base:
             arg = arg.to_string() if kind == "shift" else Gf2Matrix.from_bits([int(r) for r in arg], n).to_jsonable()
             return {"function": f.spec, "transform": kind, "arg": arg,
@@ -351,7 +360,9 @@ class Theorem:
     ``instance``, when set, is a fixed function checked instead of the
     family's members.  ``screen``, when set, maps a uint16 array of codes
     of dimension n <= DENSE_MAX_DIM to a mask that holds at least where
-    ``check`` finds a violation; the sweep runs ``check`` only there.
+    ``check`` finds a violation; the sweep runs ``check`` only there.  Its
+    third argument is a dict that lives for one sweep, in which a screen
+    may keep what it measured for the sweep's later chunks.
     """
 
     check: Callable[[BooleanFunction, int], dict | None]
@@ -359,7 +370,7 @@ class Theorem:
     max_n: int
     constraint: str
     instance: BooleanFunction | None = None
-    screen: Callable[[int, np.ndarray], np.ndarray] | None = None
+    screen: Callable[[int, np.ndarray, dict], np.ndarray] | None = None
 
 
 THEOREMS: dict[str, Theorem] = {
@@ -428,12 +439,13 @@ def _check_budgets(fam: Family, theorems: list[str]) -> None:
 def _candidates(th: Theorem, n: int, tables: Sequence[int], start: int) -> Iterator[tuple[int, int]]:
     """(family index, table) of every table ``th.check`` must see: all of
     them, or up to DENSE_MAX_DIM those its screen flags, screened 4096
-    at a time."""
+    at a time with one dict for the whole call."""
     if th.screen is None or n > DENSE_MAX_DIM:
         yield from enumerate(tables, start)
         return
+    known: dict = {}
     for lo in range(0, len(tables), 4096):
-        flagged = th.screen(n, np.array(tables[lo:lo + 4096], dtype=np.uint16))
+        flagged = th.screen(n, np.array(tables[lo:lo + 4096], dtype=np.uint16), known)
         for j in np.flatnonzero(flagged).tolist():
             yield start + lo + j, tables[lo + j]
 

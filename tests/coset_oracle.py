@@ -1,13 +1,21 @@
 """The per-table coset scan the package batched, kept as the tests'
 reference for the coset scans of classical._best_over: one table, one
-gather and dedupe per group, and one wbs_xor per distinct restricted
-table."""
+gather and dedupe per group, and one per-table weak_parity_bs scan per
+distinct restricted table, never the batched parity._wbs_aggregate."""
+
+from functools import lru_cache
 
 import numpy as np
 
-from paritydt.boolfn import _table_bits
+from paritydt.boolfn import BooleanFunction, _table_bits
 from paritydt.classical import _distinct_tables
-from paritydt.parity import _wbs_aggregate
+from paritydt.parity import weak_parity_bs
+
+
+# room for every table of dimension <= 4
+@lru_cache(maxsize=1 << 17)
+def _wbs(dim, t):
+    return weak_parity_bs(BooleanFunction(dim, t), None)[0]
 
 
 def max_over_cosets(f, scan):
@@ -17,7 +25,7 @@ def max_over_cosets(f, scan):
     best, witness = -1, None
     for dim, cosets, members in scan:
         tables, inverse = _distinct_tables(bits, members)
-        vals = np.array([_wbs_aggregate(dim, t) for t in tables])[inverse]
+        vals = np.array([_wbs(dim, t) for t in tables])[inverse]
         i = int(vals.argmax())
         if vals[i] > best:
             best, witness = int(vals[i]), cosets[i]

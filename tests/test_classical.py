@@ -600,11 +600,11 @@ def test_best_over_keeps_the_first_label_on_ties():
     ]
     # row 0 weighs 1, 1 | 2, 0 | 2 and row 1 weighs 2, 0 | 1, 1 | 2: a tie
     # within a group and a tie across groups both keep the earlier label
-    best, labels = classical._best_over(bits, groups, lambda dim, t: t.bit_count(), 99)
+    best, labels = classical._best_over(bits, groups, lambda dim, ts: [t.bit_count() for t in ts], 99)
     assert best.tolist() == [2, 2] and labels == ["c", "a"]
     # the least weight, by the negated measure: row 0 reaches 0 at d and
     # row 1 at b, so the last group is never read
-    best, labels = classical._best_over(bits, _guarded(groups, 2), lambda dim, t: -t.bit_count(), 0)
+    best, labels = classical._best_over(bits, _guarded(groups, 2), lambda dim, ts: [-t.bit_count() for t in ts], 0)
     assert best.tolist() == [0, 0] and labels == ["d", "b"]
 
 

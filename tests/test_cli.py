@@ -498,7 +498,10 @@ def test_verify_thm2_screen_keeps_planted_violations(capsys, monkeypatch, inline
     # one table per affine orbit, so the planted fault keeps to a property
     # that every affine map keeps, the weight
     real = parity._wbs_aggregate
-    monkeypatch.setattr(parity, "_wbs_aggregate", lambda m, t: 9 if m == 4 and bin(t).count("1") == 7 else real(m, t))
+    monkeypatch.setattr(
+        parity, "_wbs_aggregate",
+        lambda m, ts: [9 if m == 4 and bin(t).count("1") == 7 else v for t, v in zip(ts, real(m, ts), strict=True)],
+    )
     argv = ["verify", "--family", "random:4:200:3", "--theorems", "thm2"]
     scalar_check = theorems.THEOREMS["thm2"].check
     calls = []
@@ -561,7 +564,7 @@ def test_invariance_matches_per_transform_reference(monkeypatch):
     fns = [BooleanFunction(n, rnd.getrandbits(1 << n)) for n in (2, 3, 3, 4, 4, 4)]
     fns += [construct.zoo("and", 4), construct.zoo("parity", 3)]
     for f in fns:
-        want = reference_invariance(f, 5, theorems._parity_measures)
+        want = reference_invariance(f, 5, lambda g: (parity.d_xor(g), parity.c_xor(g), parity.parity_bs(g)[0]))
         assert want is None and theorems._invariance(f, 5) == want
     rotated = 0
     for f in fns:
@@ -575,9 +578,9 @@ def test_invariance_matches_per_transform_reference(monkeypatch):
         want = reference_invariance(f, 5, planted)
         calls = []
 
-        def counting(g):
-            calls.append(g.table)
-            return planted(g)
+        def counting(n, tables):
+            calls.extend(tables)
+            return [planted(BooleanFunction(n, t)) for t in tables]
 
         monkeypatch.setattr(theorems, "_parity_measures", counting)
         assert theorems._invariance(f, 5) == want, f.spec

@@ -220,3 +220,17 @@ def test_cli_import_builds_no_dense_table():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "0"]
+
+
+def test_cli_import_builds_no_packing_depth_or_weight_table():
+    # the packing, depth, span-weight and wbs+ tables are built on first use, so
+    # none of their cost moves into the import
+    code = (
+        "import paritydt.cli\n"
+        "from paritydt import classical, parity\n"
+        "print(*(f.cache_info().currsize for f in\n"
+        "        (classical._packing_table, parity._dense_depth, parity._basis_weights, parity._wbs_table)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "0", "0"]

@@ -19,6 +19,7 @@ from paritydt import budget, classical, construct, gf2, theorems
 from paritydt import parity as parity_mod
 from paritydt.boolfn import (
     BooleanFunction,
+    _gather_all as gather_all,
     _table_bits,
     _table_xor_translate,
     local_point,
@@ -518,7 +519,7 @@ def test_frame_keys_kept_up_to_six_then_streamed():
         assert [int(c) for c in key[i]] == [sum(parity(w & y) << j for j, w in enumerate(ws)) for y in range(32)]
     assert not rows.flags.writeable and not key.flags.writeable
     before = parity_mod._frame_keys.cache_info().currsize
-    rows7, key7, _ = next(parity_mod._coset_classes(7, 0, 6))
+    rows7, key7, _ = next(parity_mod._coset_classes(7, (0,), 6))
     assert parity_mod._frame_keys.cache_info().currsize == before
     assert tuple(int(w) for w in rows7[0]) == (1, 2, 4, 8, 16, 32)
     assert [int(c) for c in key7[0, :4]] == [0, 1, 2, 3] and int(key7[0, 64]) == 0
@@ -995,6 +996,78 @@ def test_packing_table_matches_scalar_dp():
         assert int(table[s]) == reference_max_packing(4, s)
 
 
+@pytest.mark.parametrize("m", range(5))
+def test_packing_table_matches_dp_build_on_every_code(m):
+    # _packing_dp's last level, the packing at the full mask, over every
+    # code in chunks of 4096
+    codes = np.arange(1 << (1 << m), dtype=np.uint16)
+    want = np.concatenate([classical._packing_dp(m, classical._code_marks(m, codes[lo:lo + 4096]))[-1]
+                           for lo in range(0, codes.size, 4096)])
+    got = classical._packing_table(m)
+    assert got.dtype == want.dtype == np.int8 and np.array_equal(got, want)
+
+
+def test_gather_all_matches_gather_of_every_code():
+    for m, idxs in ((0, [0]), (2, [3, 1]), (3, [7, 0, 5]), (4, [0, 15, 7, 8, 9]), (4, list(range(15, -1, -1)))):
+        codes = np.arange(1 << (1 << m), dtype=np.uint16)
+        got = gather_all(m, idxs)
+        assert got.shape == codes.shape and np.array_equal(got, parity_mod._gather(codes, idxs)), (m, idxs)
+
+
+def _weak_scans(m, tables):
+    return [parity_mod._weak_scan(m, t, parity_mod._basis_weights(m))[0] for t in tables]
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_wbs_aggregate_matches_per_table_scan_all(m):
+    # every table, constants included, from the batched scan (a chunk holds
+    # 73 3-bit tables) and from the kept table, also in another order
+    tables = list(range(1 << (1 << m)))
+    want = _weak_scans(m, tables)
+    assert parity_mod._wbs_scan(m, tables) == want
+    assert parity_mod._wbs_aggregate(m, tables) == want
+    assert parity_mod._wbs_aggregate(m, tables[::-1]) == want[::-1]
+    table = parity_mod._wbs_table(m)
+    assert table.dtype == np.int8 and not table.flags.writeable
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5])
+def test_wbs_aggregate_matches_per_table_scan_n4_seeded(monkeypatch, per_chunk):
+    # 4-bit tables a chunk: one by default; the stacks cross chunk
+    # boundaries, and a constant in a stack reads 0 like the others
+    monkeypatch.setattr(parity_mod, "_WBS_CHUNK_CODES", per_chunk * 16 * 840)
+    rnd = random.Random(31)
+    for size in (1, 3, 4, 5, 9, 30):
+        tables = [rnd.getrandbits(16) for _ in range(size)]
+        tables[rnd.randrange(size)] = rnd.choice([0, 0xFFFF])
+        assert parity_mod._wbs_aggregate(4, tables) == _weak_scans(4, tables), tables
+    # no table at all
+    assert parity_mod._wbs_aggregate(4, []) == []
+
+
+def _assert_stack_matches_one_row(m, tables):
+    profiles, wits = parity_mod._cxor_stack(m, tables)
+    assert profiles.shape == (len(tables), 1 << m) and wits.shape == (len(tables), 1 << m, m)
+    for t, profile, wit in zip(tables, profiles, wits, strict=True):
+        one_profile, one_wit = parity_mod._cxor_scan(m, t)
+        assert profile.tobytes() == one_profile and np.array_equal(wit, one_wit), (m, t)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_cxor_stack_matches_one_row_scan_all(m):
+    _assert_stack_matches_one_row(m, list(range(1 << (1 << m))))
+
+
+def test_cxor_stack_matches_one_row_scan_n4_seeded(monkeypatch):
+    rnd = random.Random(37)
+    tables = [rnd.getrandbits(16) for _ in range(300)] + [0, 0xFFFF, 0x8000, 0x6996]
+    _assert_stack_matches_one_row(4, tables)
+    # 3 frames a chunk, so a codimension's frames span several chunks
+    parity_mod._cxor_scan.cache_clear()
+    monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 3 << 4)
+    _assert_stack_matches_one_row(4, tables[:40])
+
+
 def test_packing_dp_above_table_matches_scalar_dp():
     rnd = random.Random(17)
     codes = [rnd.getrandbits(32) & ~1 for _ in range(150)] + [0, (1 << 32) - 2, 1 << 31]
@@ -1014,13 +1087,13 @@ def test_block_packings_above_table_run_one_point_at_a_time():
     weights = parity_mod._basis_weights(5)
     tracemalloc.start()
     try:
-        got = parity_mod._block_packings(5, 0x12345678, weights, slice(0, 8))
+        got = parity_mod._block_packings(5, np.array([0x12345678]), weights, slice(0, 8))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got.shape == (8, weights.shape[1]) and got.dtype == np.int8
     assert peak < 7_000_000 + got.nbytes
-    one = parity_mod._block_packings(5, 0x12345678, weights, slice(5, 6))
+    one = parity_mod._block_packings(5, np.array([0x12345678]), weights, slice(5, 6))[0]
     assert np.array_equal(one[0], got[5])
 
 
@@ -1217,9 +1290,8 @@ def test_pbs_budget():
 
 
 def _batched_matches_oracle(n, tables):
-    bits = np.array([_table_bits(n, t) for t in tables], dtype=np.uint8)
     scan = parity_mod._coset_scan(n)
-    values, witnesses = classical._best_over(bits, scan, parity_mod._wbs_aggregate, n)
+    values, witnesses = parity_mod._pbs_values(n, list(tables))
     assert len(values) == len(witnesses) == len(tables)
     for t, v, h in zip(tables, values.tolist(), witnesses, strict=True):
         assert (v, h) == max_over_cosets(BooleanFunction(n, t), scan), (n, t)
@@ -1228,6 +1300,8 @@ def _batched_matches_oracle(n, tables):
 @pytest.mark.parametrize("n", range(4))
 def test_batched_coset_scan_matches_per_table_scan_all(n):
     _batched_matches_oracle(n, range(1 << (1 << n)))
+    # constants alone take the short cut
+    _batched_matches_oracle(n, [0, (1 << (1 << n)) - 1])
 
 
 def test_batched_coset_scan_matches_per_table_scan_n4_seeded():

@@ -96,11 +96,29 @@ def test_thm2_sweeps_every_4bit_table():
     assert (r.instances, r.violations) == (65536, [])
 
 
+def test_thm2_exhaustive_sweep_measures_each_orbit_once(monkeypatch):
+    # AGL(4,2) has 32 orbits, spread over the sweep's 16 chunks; each orbit
+    # key's (bs+, C+) is carried to the later chunks of the same sweep, and
+    # a second sweep measures them again
+    cxor_stack, wbs_aggregate = parity._cxor_stack, parity._wbs_aggregate
+    for _ in range(2):
+        stacked, full_space = [], []
+        monkeypatch.setattr(parity, "_cxor_stack", lambda m, ts: stacked.extend(ts) or cxor_stack(m, ts))
+        monkeypatch.setattr(parity, "_wbs_aggregate",
+                            lambda m, ts: (m == 4 and full_space.extend(ts)) or wbs_aggregate(m, ts))
+        r = theorems.run_verification_suite("exhaustive:4", ["thm2"])[0]
+        assert (r.instances, r.violations) == (65536, [])
+        assert len(stacked) == len(set(stacked)) == 32
+        # the last chunk's only new orbit is the constant 1's, which needs
+        # no coset scan
+        assert sorted(full_space + [0xFFFF]) == sorted(stacked)
+
+
 def test_thm2_screen_flags_past_both_bounds_planted(monkeypatch):
     # C+ = bs+^2 holds and bs+^2 + 1 does not; C+ = bs+ holds and bs+ - 1 does not
     b, cv = np.array([2, 2, 1, 3, 3]), np.array([4, 5, 1, 3, 2])
-    monkeypatch.setattr(theorems, "_orbit_measures", lambda n, tables: (b, cv))
-    assert theorems._thm2_screen(4, np.arange(5, dtype=np.uint16)).tolist() == [False, True, False, False, True]
+    monkeypatch.setattr(theorems, "_orbit_measures", lambda n, tables, known: (b, cv))
+    assert theorems._thm2_screen(4, np.arange(5, dtype=np.uint16), {}).tolist() == [False, True, False, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +185,7 @@ def test_orbit_measures_match_direct_kernels(n):
         rng = np.random.default_rng(22)
         tables = rng.integers(0, 1 << 16, 4096).astype(np.uint16)
         checked = rng.choice(len(tables), 256, replace=False).tolist()
-    b, cv = theorems._orbit_measures(n, tables)
+    b, cv = theorems._orbit_measures(n, tables, {})
     scan = parity._coset_scan(n)
     for i in checked:
         assert b[i] == max_over_cosets(BooleanFunction(n, int(tables[i])), scan)[0], (n, int(tables[i]))
