@@ -18,7 +18,7 @@ import numpy as np
 from . import budget
 from .boolfn import BooleanFunction, _gather_all, _low_mask, _table_bits, _table_xor_translate
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, _gl_chunks, _images, _row_chunks, _sample_gl_rows, _span_order
+from .gf2 import Gf2Matrix, Gf2Vector, _gl_class_chunks, _images, _row_chunks, _sample_gl_rows, _span_order
 
 __all__ = [
     "DecisionLeaf",
@@ -328,18 +328,20 @@ def _packing_table(m: int) -> np.ndarray:
     return out
 
 
-def _bs_scan(n: int, table: int) -> tuple[int, int]:
-    """(bs, the first input reaching it): the packing of every input's
-    sensitive blocks at once."""
+def _bs_scan(n: int, table: int) -> tuple[int, int, np.ndarray | None]:
+    """(bs, the first input reaching it, and past DENSE_MAX_DIM that
+    input's packing DP levels): the packing of every input's sensitive
+    blocks at once."""
     pts = np.arange(1 << n)
     near = _table_bits(n, table)[pts[:, None] ^ pts]  # near[x, v] = f(x ^ v)
     marks = near != near[:, :1]
     if n <= DENSE_MAX_DIM:
-        vals = _packing_table(n)[marks @ (1 << pts)]
+        vals, dp = _packing_table(n)[marks @ (1 << pts)], None
     else:
-        vals = _packing_dp(n, marks)[-1]
+        dp = _packing_dp(n, marks)
+        vals = dp[-1]
     x = int(vals.argmax())
-    return int(vals[x]), x
+    return int(vals[x]), x, None if dp is None else dp[:, x]
 
 
 def _packing_blocks(n: int, marks: list[bool], dp: list[int]) -> list[int]:
@@ -372,13 +374,15 @@ def block_sensitivity(f: BooleanFunction, x: Gf2Vector | None) -> tuple[int, Blo
     is bs(f)."""
     n = f.arity
     budget.require("block_sensitivity", n, "block_sensitivity limited to arity")
+    dp = None
     if x is None:
-        x = Gf2Vector(n, _bs_scan(n, f.table)[1])
+        _, xb, dp = _bs_scan(n, f.table)
+        x = Gf2Vector(n, xb)
     elif x.width != n:
         raise DimensionError("input width mismatch")
     near = _table_bits(n, f.table)[x.bits ^ np.arange(1 << n)]  # near[v] = f(x ^ v)
     marks = near != near[0]
-    dp = _packing_dp(n, marks).tolist()
+    dp = (_packing_dp(n, marks) if dp is None else dp).tolist()
     blocks = _packing_blocks(n, marks.tolist(), dp)
     fam = BlockFamily(
         anchor=x,
@@ -464,15 +468,18 @@ def _min_over(measure: str, f: BooleanFunction, chunks: Iterable[np.ndarray]) ->
 
 
 def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
-    """min over invertible B of measure(x -> f(Bx)), with a minimizing B.
+    """min over invertible B of measure(x -> f(Bx)), with the
+    lexicographically least minimizing B.
 
-    Exhausts the full group; exact for arity <= 4.
+    Permuting B's columns permutes the inputs of x -> f(Bx), which leaves
+    each measure as it is, so one B per set of columns is read: the least
+    of its set, in lexicographic order.  Exact for arity <= 4.
     """
     n = f.arity
     if measure not in _MEASURES:
         raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
     budget.require("symmetrized", n, "symmetrized limited to arity", "; use sampled_symmetrized")
-    return _min_over(measure, f, _gl_chunks(n))
+    return _min_over(measure, f, _gl_class_chunks(n))
 
 
 def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: int) -> tuple[int, Gf2Matrix]:

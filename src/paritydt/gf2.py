@@ -19,6 +19,7 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,15 +158,20 @@ def _parities(n: int) -> np.ndarray:
     return _spans(np.ones((1, n), dtype=np.uint8))[0]
 
 
-def _images(rows: np.ndarray, n: int) -> np.ndarray:
-    """img[i, x] = B_i x, packed, for the matrices B_i with n columns
-    whose rows are ``rows[i]``: the span of B_i's columns."""
-    # column j of B, packed: bit i is entry (i, j)
+def _columns(rows: np.ndarray, n: int) -> np.ndarray:
+    """cols[i, j] = column j of B_i, packed (bit r is entry (r, j)), for
+    the matrices B_i with n columns whose rows are ``rows[i]``."""
     shifts = np.arange(n, dtype=np.uint8)
     cols = np.zeros((len(rows), n), dtype=np.result_type(rows.dtype, shifts.dtype))
     for i in range(rows.shape[1]):
         cols |= ((rows[:, i, None] >> shifts) & 1) << i
-    return _spans(cols)
+    return cols
+
+
+def _images(rows: np.ndarray, n: int) -> np.ndarray:
+    """img[i, x] = B_i x, packed, for the matrices B_i with n columns
+    whose rows are ``rows[i]``: the span of B_i's columns."""
+    return _spans(_columns(rows, n))
 
 
 def _check_rref(rows: Sequence[int]) -> None:
@@ -409,8 +415,8 @@ class Coset:
 
     def member_bits(self) -> list[int]:
         """All members: min_member + direction span, subset-counter order."""
-        off = self.min_member_bits()
-        return [off ^ v for v in _span_order(self.direction_rows())]
+        dirs = np.array([self.direction_rows()], dtype=np.min_scalar_type((1 << self.ncols) - 1))
+        return (self.min_member_bits() ^ _spans(dirs)[0]).tolist()
 
     def members(self) -> list[Gf2Vector]:
         return [Gf2Vector(self.ncols, b) for b in self.member_bits()]
@@ -519,22 +525,49 @@ def _bases(n: int, increasing: bool = False) -> Iterator[np.ndarray]:
         yield grow(prefix[None], n - fixed)
 
 
-def _gl_chunks(n: int) -> Iterator[np.ndarray]:
-    """The rows of every invertible n x n matrix in lexicographic order,
-    in _bases(n)'s blocks: 15 of 1,344 matrices at n = 4, 930 of 10,752
-    at n = 5."""
+def _require_gl_enum(n: int) -> None:
+    """Refuse n outside 0..MAX_WIDTH, and past GL_ENUM_MAX."""
     if not 0 <= n <= MAX_WIDTH:
         raise DimensionError(f"n {n} outside 0..{MAX_WIDTH}")
     if n > GL_ENUM_MAX:
         raise BudgetExceededError(f"full GL enumeration limited to n <= {GL_ENUM_MAX}, got {n}; use sample_gl")
-    yield from _bases(n)
 
 
 def enumerate_gl(n: int) -> Iterator[Gf2Matrix]:
     """All invertible n x n matrices, row tuples in lexicographic order."""
-    for chunk in _gl_chunks(n):
-        for rows in chunk.tolist():
+    _require_gl_enum(n)
+    for block in _bases(n):
+        for rows in block.tolist():
             yield Gf2Matrix.from_bits(rows, n)
+
+
+@lru_cache(maxsize=GL_ENUM_MAX + 1)
+def _gl_classes(n: int) -> np.ndarray:
+    """One invertible matrix per set of n independent columns, as (k, n)
+    uint8 rows in lexicographic order, read-only: the least matrix with
+    those columns, which orders them by (B[0, j], B[1, j], ...)
+    descending.  |GL(n)|/n! of them: 840 at n = 4, 83,328 at n = 5.
+
+    Each unordered basis of _bases is read as B's columns.  rev[c] reads
+    a column from B[0, j] down, so descending rev is the least order; rev
+    is its own inverse."""
+    _require_gl_enum(n)
+    rev = _spans(np.array([[1 << (n - 1 - i) for i in range(n)]], dtype=np.uint8))[0]
+    # a column block's transpose is its rows: _columns of B^T's rows
+    rows = np.concatenate(
+        [_columns(rev[np.sort(rev[block], axis=1)[:, ::-1]], n) for block in _bases(n, increasing=True)]
+    )
+    key = rows @ (1 << n * np.arange(n - 1, -1, -1))  # row 0 weighs most
+    out = rows[np.argsort(key)]
+    out.setflags(write=False)
+    return out
+
+
+def _gl_class_chunks(n: int) -> Iterator[np.ndarray]:
+    """_gl_classes(n) in slices of _chunk_size(n) matrices, in order."""
+    classes, size = _gl_classes(n), _chunk_size(n)
+    for lo in range(0, len(classes), size):
+        yield classes[lo : lo + size]
 
 
 def _sample_gl_rows(n: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:

@@ -16,7 +16,6 @@ import os
 import random
 import time
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, _table_bits, _walsh, fourier, restrict, shift
 from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_chunks, _images, _parities, _row_chunks, _sample_gl_rows
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_class_chunks, _images, _parities, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "Family",
@@ -211,10 +210,12 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
     classical certificate size over all changes of basis."""
     n, size = f.arity, 1 << f.arity
     target = parity.cxor_profile(f)
-    # the profile of x -> f(By) at y is a certificate size at x = By
+    # the profile of x -> f(By) at y is a certificate size at x = By; that
+    # of x -> f(BQy), for a permutation Q, at y is the one of x -> f(By)
+    # at Qy, so one B per set of columns reaches every such pair
     best = np.full(size, 255, dtype=np.uint8)
     bits = _table_bits(n, f.table)
-    for rows in _gl_chunks(n):
+    for rows in _gl_class_chunks(n):
         img = _images(rows, n)
         tables, inverse = classical._distinct_tables(bits, img)
         profiles = np.array([list(classical.certificate_profile(BooleanFunction(n, t))) for t in tables],
@@ -492,6 +493,9 @@ def run_verification_suite(
         else:
             step = -(-len(items) // (4 * workers))
             jobs = [(th, n, items[i : i + step], fam.seed, i) for i in range(0, len(items), step)]
+            # imported here, since it pulls in multiprocessing and socket
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 found = [iv for chunk in pool.map(_sweep, jobs) for iv in chunk][:_VIOLATION_CAP]
         # the serial sweep stops at the capped violation; counting up to it

@@ -375,6 +375,21 @@ def test_bs_witnesses_match_scalar_dp_zoo():
         _assert_bs_matches_scalar_dp(f, range(1 << n) if n <= 6 else (0, 1, (1 << n) - 1))
 
 
+def test_bs_reads_the_scan_packing_at_its_input(monkeypatch):
+    # past the dense table, the scan's DP at the chosen input gives the
+    # witness: one packing DP a call, not a second one at that input
+    calls = []
+    real = classical._packing_dp
+    monkeypatch.setattr(classical, "_packing_dp", lambda m, marks: calls.append(marks.shape) or real(m, marks))
+    rnd = random.Random(21)
+    for n in (5, 6):
+        f = BooleanFunction(n, rnd.getrandbits(1 << n))
+        calls.clear()
+        got = block_sensitivity(f, None)
+        assert calls == [(1 << n, 1 << n)]
+        assert got == reference_block_sensitivity(f, Gf2Vector(n, reference_bs_scan(f)[1]))
+
+
 def test_bs_at_most_c_all_n3():
     for t in range(256):
         f = BooleanFunction(3, t)
@@ -514,9 +529,11 @@ def test_sampled_symmetrized_matches_reference_scan(n, seed):
 
 
 def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
-    # GL(4) comes in 15 blocks of 1,344 matrices; the reference takes the
-    # first minimiser over all 20,160 at once
-    assert [len(rows) for rows in classical._gl_chunks(4)] == [1344] * 15
+    # GL(4)'s 840 column classes in chunks of 100; the reference takes the
+    # first minimiser over all 20,160 matrices at once
+    monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 100 << 4)
+    assert [len(rows) for rows in gf2._gl_class_chunks(4)] == [100] * 8 + [40]
+    classes = [tuple(r) for r in gf2._gl_classes(4).tolist()]
     mats = list(gl_rows(4))
     img = gf2._images(np.array(mats, dtype=np.uint8), 4)
     memo = {}
@@ -533,8 +550,8 @@ def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
             k = int(np.argmin(vals))
             v, b = symmetrized(m, f)
             assert (v, b.row_bits) == (vals[k], mats[k]), (f.table, m)
-            late += k >= 1344
-    assert late  # some first minimisers lie past the first block
+            late += classes.index(mats[k]) >= 100
+    assert late  # some first minimisers lie past the first chunk
     # 7 matrices a chunk: the identity plus 30 samples at n = 6 spans 5
     monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 7 << 6)
     f = BooleanFunction(6, random.Random(4).getrandbits(64))
@@ -548,10 +565,18 @@ def test_symmetrized_refusals_unchanged():
     f5 = BooleanFunction(5, 0x1234)
     with pytest.raises(BudgetExceededError, match="use sampled_symmetrized"):
         symmetrized("d", f5)
-    # past the symmetrized cap, the GL enumeration cap still refuses
+    # past the symmetrized cap, the GL enumeration cap still refuses,
+    # before it builds anything
     with budget.extended(6):
-        with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
-            symmetrized("d", BooleanFunction(6, 0x1234))
+        for m in ("d", "c", "bs"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
+                    symmetrized(m, BooleanFunction(6, 0x1234))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 def reference_distinct_tables(bits, idx):
@@ -608,14 +633,21 @@ def test_best_over_keeps_the_first_label_on_ties():
     assert best.tolist() == [0, 0] and labels == ["d", "b"]
 
 
+def _rotated_tables(f, rows):
+    """The table of x -> f(Bx) for each matrix B with the given rows."""
+    img = gf2._images(np.array(rows, dtype=np.uint8), f.arity)
+    return (_table_bits(f.arity, f.table)[img].astype(np.int64) << np.arange(1 << f.arity)).sum(axis=1).tolist()
+
+
 def test_best_over_measures_each_distinct_table_once(monkeypatch):
     f = BooleanFunction(4, random.Random(7).getrandbits(16))
-    mats = list(gl_rows(4))
-    img = gf2._images(np.array(mats, dtype=np.uint8), 4)
-    tables = (_table_bits(4, f.table)[img].astype(np.int64) << np.arange(16)).sum(axis=1).tolist()
-    # the same tables recur in several of GL(4)'s 15 blocks
-    per_block = [set(tables[lo:lo + 1344]) for lo in range(0, len(tables), 1344)]
-    assert sum(map(len, per_block)) > len(set(tables))
+    tables = _rotated_tables(f, gf2._gl_classes(4))
+    # the class tables are among GL(4)'s, and the same tables recur in
+    # several chunks of 100 classes
+    assert set(tables) <= set(_rotated_tables(f, list(gl_rows(4))))
+    monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 100 << 4)
+    per_chunk = [set(tables[lo:lo + 100]) for lo in range(0, len(tables), 100)]
+    assert sum(map(len, per_chunk)) > len(set(tables))
     calls = []
     _, cap, what = classical._MEASURES["c"]
     monkeypatch.setitem(classical._MEASURES, "c", (lambda g: calls.append(g.table) or c(g), cap, what))
@@ -632,10 +664,10 @@ def _guarded(groups, k):
 
 
 def test_best_over_stops_once_every_table_reaches_top(monkeypatch):
-    # every rotation of a constant measures 0, so GL(5)'s first block is
-    # the only one read
-    gl_chunks = classical._gl_chunks
-    monkeypatch.setattr(classical, "_gl_chunks", lambda n: _guarded(gl_chunks(n), 1))
+    # every rotation of a constant measures 0, so the first chunk of
+    # GL(5)'s column classes is the only one read
+    class_chunks = classical._gl_class_chunks
+    monkeypatch.setattr(classical, "_gl_class_chunks", lambda n: _guarded(class_chunks(n), 1))
     with budget.extended(5):
         for t in (0, (1 << 32) - 1):
             for m in ("d", "c", "bs"):

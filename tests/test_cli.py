@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -406,7 +407,7 @@ def inline_pool(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     return started
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -140,6 +141,18 @@ def test_solve_soundness(n, data):
         assert set(h.member_bits()) == expect
         assert h.min_member_bits() == min(expect)
         assert len(expect) == 1 << h.dim
+        # the order: min_member + the direction span in subset-counter order
+        assert h.member_bits() == [h.min_member_bits() ^ v for v in _span_order(h.direction_rows())]
+
+
+def test_member_bits_order_at_full_width():
+    # 21 of 24 coordinates pinned: members above 2^16, as python ints
+    rows = [1 << i for i in range(21)]
+    h = solve(Gf2Matrix.from_bits(rows, 24), Gf2Vector(21, 0x12345))
+    got = h.member_bits()
+    assert got == [0x12345 ^ v for v in _span_order(h.direction_rows())]
+    assert len(got) == 8 and max(got) == 0x12345 | 7 << 21
+    assert all(type(b) is int for b in got)
 
 
 def test_coset_point_and_full():
@@ -309,10 +322,8 @@ def test_enumerate_gl_matches_reference_recursion(n):
     assert list(gl_rows(n)) == want
     assert [m.row_bits for m in enumerate_gl(n)] == want
     assert [tuple(rows) for block in gf2._bases(n) for rows in block.tolist()] == want
-    # the chunks are _bases' blocks, one per choice of the rows before the last three
-    chunks = [chunk.tolist() for chunk in gf2._gl_chunks(n)]
-    assert chunks == [block.tolist() for block in gf2._bases(n)]
-    assert [len(chunk) for chunk in chunks] == ([1344] * 15 if n == 4 else [gl_order(n)])
+    # one block per choice of the rows before the last three
+    assert [len(block) for block in gf2._bases(n)] == ([1344] * 15 if n == 4 else [gl_order(n)])
 
 
 def test_gl_0_is_the_empty_matrix():
@@ -329,7 +340,7 @@ def test_gl_5_walk_memory_flat():
     # prefix's block of 10,752 at a time
     tracemalloc.start()
     try:
-        sizes = [len(chunk) for chunk in gf2._gl_chunks(5)]
+        sizes = [len(block) for block in gf2._bases(5)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,10 +354,47 @@ def test_sample_gl_matches_reference_sampler(n, count, seed):
 
 
 def test_enumerate_gl_budget():
-    for gen in (enumerate_gl(6), gf2._gl_chunks(6)):
-        with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
-            next(iter(gen))
-    assert next(gf2._gl_chunks(5))[0].tolist() == [1, 2, 4, 8, 16]
+    with pytest.raises(BudgetExceededError, match="n <= 5, got 6"):
+        next(enumerate_gl(6))
+    assert next(enumerate_gl(5)).row_bits == (1, 2, 4, 8, 16)
+
+
+# ---------------------------------------------------------------------------
+# one matrix per set of columns
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 3), (3, 28), (4, 840), (5, 83328)])
+def test_gl_classes_one_increasing_invertible_row_per_column_set(n, count):
+    classes = gf2._gl_classes(n)
+    assert classes.shape == (count, n) and classes.dtype == np.uint8
+    assert count * math.factorial(n) == gl_order(n)
+    assert not classes.flags.writeable
+    rows = [tuple(r) for r in classes.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    # invertible: the span of the columns is every input
+    assert (np.sort(_images(classes, n), axis=1) == np.arange(1 << n)).all()
+    # the column sets are distinct
+    assert len({frozenset(r) for r in gf2._columns(classes, n).tolist()}) == count
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_gl_classes_are_the_least_of_each_column_set(n):
+    least = {}
+    for b in enumerate_gl(n):
+        cols = frozenset(b.transpose().row_bits)
+        least[cols] = min(least.get(cols, b.row_bits), b.row_bits)
+    assert [tuple(r) for r in gf2._gl_classes(n).tolist()] == sorted(least.values())
+
+
+def test_gl_classes_refusals():
+    with pytest.raises(BudgetExceededError, match="n <= 5, got 6; use sample_gl"):
+        gf2._gl_classes(6)
+    with pytest.raises(DimensionError, match="n -1 outside 0..24"):
+        gf2._gl_classes(-1)
+    # the chunks of a class list are its slices, in order
+    sizes = [len(chunk) for chunk in gf2._gl_class_chunks(5)]
+    assert sizes == [2048] * 40 + [1408]
+    assert np.concatenate(list(gf2._gl_class_chunks(5))).tolist() == gf2._gl_classes(5).tolist()
 
 
 def test_sample_gl_deterministic():

@@ -234,3 +234,16 @@ def test_cli_import_builds_no_packing_depth_or_weight_table():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "0", "0", "0"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # only verify --threads N with N > 1 starts workers, so the process
+    # pool and what it pulls in are imported there
+    code = (
+        "import sys\n"
+        "import paritydt.cli\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

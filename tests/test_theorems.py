@@ -4,13 +4,14 @@ first violation the coset scans of ``monotone`` and ``lemma-exp`` report."""
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 from coset_oracle import max_over_cosets
 
-from paritydt import budget, classical, construct, parity, theorems
-from paritydt.boolfn import BooleanFunction
+from paritydt import budget, classical, construct, gf2, parity, theorems
+from paritydt.boolfn import BooleanFunction, _table_bits
 from paritydt.budget import Budget
 from paritydt.errors import BudgetExceededError
 
@@ -298,3 +299,59 @@ def test_lemma_exp_first_violation_planted(monkeypatch, t, dim, i, forms, want):
     got = theorems.THEOREMS["lemma-exp"].check(BooleanFunction(4, t), 0)
     assert json.dumps(got) == json.dumps(want)
     assert got["coset"] == _coset(dim, i).to_jsonable()
+
+
+# ---------------------------------------------------------------------------
+# eq-coplusc over column classes, against the scan over all of GL(n)
+# ---------------------------------------------------------------------------
+
+def reference_eq_coplusc(f, seed):
+    """The check before it read one matrix per set of columns: the least
+    certificate size at each input over every invertible B, in _bases'
+    blocks."""
+    n, size = f.arity, 1 << f.arity
+    target = parity.cxor_profile(f)
+    best = np.full(size, 255, dtype=np.uint8)
+    bits = _table_bits(n, f.table)
+    for rows in gf2._bases(n):
+        img = gf2._images(rows, n)
+        tables, inverse = classical._distinct_tables(bits, img)
+        profiles = np.array([list(classical.certificate_profile(BooleanFunction(n, t))) for t in tables],
+                            dtype=np.uint8)
+        np.minimum.at(best, img, profiles[inverse])
+    if best.tobytes() == target:
+        return None
+    x = next(i for i in range(size) if best[i] != target[i])
+    return {"function": f.spec, "x": gf2.Gf2Vector(n, x).to_string(),
+            "coset_search": target[x], "gl_min": int(best[x])}
+
+
+def _eq_coplusc_family():
+    rnd = random.Random(17)
+    return [BooleanFunction(3, t) for t in range(256)] + [BooleanFunction(4, rnd.getrandbits(16)) for _ in range(6)]
+
+
+def test_eq_coplusc_matches_gl_scan():
+    for f in _eq_coplusc_family():
+        assert theorems._eq_coplusc(f, 0) is None
+        assert reference_eq_coplusc(f, 0) is None
+
+
+def test_eq_coplusc_matches_gl_scan_planted(monkeypatch):
+    # the coset search reads one more at the last input whose size is at
+    # least 2, so both minima fall short there
+    real = parity.cxor_profile
+
+    def cxor_profile(f):
+        profile = bytearray(real(f))
+        x = max((i for i, v in enumerate(profile) if v >= 2), default=len(profile) - 1)
+        profile[x] += 1
+        return bytes(profile)
+
+    monkeypatch.setattr(parity, "cxor_profile", cxor_profile)
+    reported = 0
+    for f in _eq_coplusc_family():
+        got, want = theorems._eq_coplusc(f, 0), reference_eq_coplusc(f, 0)
+        assert json.dumps(got) == json.dumps(want), f.spec
+        reported += got is not None
+    assert reported == len(_eq_coplusc_family())
