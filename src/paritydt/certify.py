@@ -88,7 +88,7 @@ def _min_one_certificate(rf) -> tuple[tuple[int, ...], list[int]] | None:
             full = (count == 1 << (m - k)).ravel()
             if full.any():
                 i, rhs = divmod(int(np.argmax(full)), 1 << k)
-                return tuple(int(w) for w in rows[i]), [(rhs >> j) & 1 for j in range(k)]
+                return tuple(rows[i].tolist()), [(rhs >> j) & 1 for j in range(k)]
     return None
 
 

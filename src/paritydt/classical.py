@@ -18,7 +18,7 @@ import numpy as np
 from . import budget
 from .boolfn import BooleanFunction, _gather_all, _low_mask, _table_bits, _table_xor_translate
 from .errors import BudgetExceededError, DimensionError, DomainError
-from .gf2 import Gf2Matrix, Gf2Vector, _gl_class_chunks, _images, _row_chunks, _sample_gl_rows, _span_order
+from .gf2 import Gf2Matrix, Gf2Vector, _gl_classes, _images, _row_chunks, _sample_gl_rows, _span_order
 
 __all__ = [
     "DecisionLeaf",
@@ -479,7 +479,7 @@ def symmetrized(measure: str, f: BooleanFunction) -> tuple[int, Gf2Matrix]:
     if measure not in _MEASURES:
         raise DomainError(f"unknown measure {measure!r}; expected one of {sorted(_MEASURES)}")
     budget.require("symmetrized", n, "symmetrized limited to arity", "; use sampled_symmetrized")
-    return _min_over(measure, f, _gl_class_chunks(n))
+    return _min_over(measure, f, _row_chunks(_gl_classes(n), n))
 
 
 def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: int) -> tuple[int, Gf2Matrix]:
@@ -493,5 +493,6 @@ def sampled_symmetrized(measure: str, f: BooleanFunction, samples: int, seed: in
     # refuse before the gather, as measuring the first table would
     _, cap, what = _MEASURES[measure]
     budget.require(cap, n, what)
-    rows = itertools.chain([tuple(1 << i for i in range(n))], _sample_gl_rows(n, samples, seed))
+    sample = _sample_gl_rows(n, samples, seed)
+    rows = np.vstack([1 << np.arange(n, dtype=sample.dtype), sample])
     return _min_over(measure, f, _row_chunks(rows, n))

@@ -16,8 +16,9 @@ rhs) presentation of a coset, canonical.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,8 +121,8 @@ def _span_order(rows: Sequence[int]) -> list[int]:
     return out
 
 
-# image entries (matrices x 2^n inputs) per chunk of _row_chunks: 4,096
-# matrices at n = 4, so a chunk's arrays stay a few hundred KiB
+# image entries (matrices x 2^n inputs) per chunk of _row_chunks or block
+# of _subspace_rows: 4,096 matrices at n = 4, a few hundred KiB of arrays
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -131,14 +132,12 @@ def _chunk_size(n: int) -> int:
     return max(1, _CHUNK_ENTRIES >> n)
 
 
-def _row_chunks(rows: Iterable[tuple[int, ...]], n: int) -> Iterator[np.ndarray]:
-    """Matrix row tuples as (k, n) arrays of _chunk_size(n) matrices
-    each (the last may be short), in order."""
-    it = iter(rows)
+def _row_chunks(rows: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Slices of _chunk_size(n) matrices of ``rows`` (the last may be
+    short), in order."""
     size = _chunk_size(n)
-    dtype = np.min_scalar_type((1 << n) - 1)
-    while chunk := list(itertools.islice(it, size)):
-        yield np.array(chunk, dtype=dtype)
+    for lo in range(0, len(rows), size):
+        yield rows[lo : lo + size]
 
 
 def _spans(cols: np.ndarray) -> np.ndarray:
@@ -480,25 +479,35 @@ def gl_order(n: int) -> int:
     return out
 
 
-def _subspace_rows(n: int, dim: int) -> Iterator[tuple[int, ...]]:
+def _subspace_rows(n: int, dim: int) -> Iterator[np.ndarray]:
     """The RREF basis rows of every dim-dimensional subspace of {0,1}^n,
     each exactly once: pivot patterns in lexicographic order, then the
     free entries of the basis in binary-counter order (the first row's
-    entries lowest)."""
+    entries lowest).  They come in (k, dim) blocks of at most
+    _chunk_size(n) subspaces, none crossing a pivot pattern."""
     if not 0 <= dim <= n:
         raise DimensionError(f"dim {dim} outside 0..{n}")
     if n > SUBSPACE_ENUM_MAX:
         raise BudgetExceededError(f"subspace enumeration limited to n <= {SUBSPACE_ENUM_MAX}, got {n}")
+    dtype = np.min_scalar_type((1 << n) - 1)
+    size = _chunk_size(n)
     for pivots in itertools.combinations(range(n), dim):
         pivset = set(pivots)
-        # each row's choices in counter order over its own free entries;
-        # product varies its last factor fastest, so the rows go in reverse
+        # row i's choices in counter order over its free entries; frame t takes
+        # row i's choice at digit i of t in the counts' mixed radix, digit 0
+        # lowest (unravel_index's last axis); dim = 0 gives one empty frame
         choices = [
-            [(1 << p) ^ v for v in _span_order([1 << j for j in range(p + 1, n) if j not in pivset])]
-            for p in reversed(pivots)
+            (1 << p) ^ np.array(_span_order([1 << j for j in range(p + 1, n) if j not in pivset]), dtype=dtype)
+            for p in pivots
         ]
-        for rows in itertools.product(*choices):
-            yield rows[::-1]
+        counts = [len(c) for c in choices]
+        total = math.prod(counts)
+        for lo in range(0, total, size):
+            digits = np.unravel_index(np.arange(lo, min(lo + size, total)), counts[::-1] or [1])
+            block = np.empty((len(digits[0]), dim), dtype=dtype)
+            for i, (c, d) in enumerate(zip(choices, digits[::-1])):
+                block[:, i] = c[d]
+            yield block
 
 
 def _bases(n: int, increasing: bool = False) -> Iterator[np.ndarray]:
@@ -563,27 +572,20 @@ def _gl_classes(n: int) -> np.ndarray:
     return out
 
 
-def _gl_class_chunks(n: int) -> Iterator[np.ndarray]:
-    """_gl_classes(n) in slices of _chunk_size(n) matrices, in order."""
-    classes, size = _gl_classes(n), _chunk_size(n)
-    for lo in range(0, len(classes), size):
-        yield classes[lo : lo + size]
-
-
-def _sample_gl_rows(n: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:
-    """The row tuples of ``count`` seeded invertible matrices (rejection
-    from uniform)."""
+def _sample_gl_rows(n: int, count: int, seed: int) -> np.ndarray:
+    """The rows of ``count`` seeded invertible matrices (rejection from
+    uniform), as one (count, n) array."""
     if not 0 <= n <= MAX_WIDTH:
         raise DimensionError(f"n {n} outside 0..{MAX_WIDTH}")
     rnd = random.Random(seed)
-    for _ in range(count):
-        while True:
-            rows = tuple(rnd.getrandbits(n) for _ in range(n))
-            if len(_rref_bits(rows, n)[0]) == n:
-                yield rows
-                break
+    draws: list[list[int]] = []
+    while len(draws) < count:
+        rows = [rnd.getrandbits(n) for _ in range(n)]
+        if len(_rref_bits(rows, n)[0]) == n:
+            draws.append(rows)
+    return np.array(draws, dtype=np.min_scalar_type((1 << n) - 1)).reshape(len(draws), n)
 
 
 def sample_gl(n: int, count: int, seed: int) -> list[Gf2Matrix]:
     """Seeded sample of invertible matrices (rejection from uniform)."""
-    return [Gf2Matrix.from_bits(rows, n) for rows in _sample_gl_rows(n, count, seed)]
+    return [Gf2Matrix.from_bits(rows, n) for rows in _sample_gl_rows(n, count, seed).tolist()]

@@ -35,7 +35,6 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     _bases,
-    _chunk_size,
     _images,
     _kernel_bits,
     _rref_bits,
@@ -187,7 +186,7 @@ FRAME_CACHE_MAX_DIM = 6
 
 @lru_cache(maxsize=32)
 def _frame_keys(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.array(list(_subspace_rows(m, k)), dtype=np.uint8)
+    rows = np.concatenate(list(_subspace_rows(m, k)))
     key = _images(rows, m)
     rows.setflags(write=False)
     key.setflags(write=False)
@@ -198,21 +197,19 @@ def _coset_classes(
     m: int, tables: Sequence[int], k: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every codimension-k frame's cosets with each table's 1-input counts,
-    per chunk of _chunk_size(m) dual bases W (rows) in _subspace_rows
-    order: (rows, key, count), where key[i, y] = W_i y names y's coset of
-    ker W_i (bit j is <w_j, y>) and count[t, i, c] is the number of
-    1-inputs of tables[t] in class c.  A class is constant when its count
-    is 0 or 2^(m-k); no direction basis is built."""
+    per chunk of at most _chunk_size(m) dual bases W (rows) in
+    _subspace_rows order: (rows, key, count), where key[i, y] = W_i y
+    names y's coset of ker W_i (bit j is <w_j, y>) and count[t, i, c] is
+    the number of 1-inputs of tables[t] in class c.  A class is constant
+    when its count is 0 or 2^(m-k); no direction basis is built."""
     if m > FRAME_CACHE_MAX_DIM:
-        chunks = ((rows, _images(rows, m)) for rows in _row_chunks(_subspace_rows(m, k), m))
+        chunks = ((rows, _images(rows, m)) for rows in _subspace_rows(m, k))
     else:
-        # slices of the kept arrays, taken before the loop rebinds the names
-        rows, key = _frame_keys(m, k)
-        size = _chunk_size(m)
-        chunks = [(rows[i:i + size], key[i:i + size]) for i in range(0, len(rows), size)]
-    # every 1-input of every table, as (table, input) pairs; a chunk's
-    # class indices stay below len(tables) << 15, so int32 holds them for
-    # fewer than 2^16 tables
+        # slices of the kept arrays
+        chunks = zip(*(_row_chunks(a, m) for a in _frame_keys(m, k)))
+    # every 1-input of every table, as (table, input) pairs; a chunk, like a
+    # _subspace_rows block, holds at most _chunk_size(m) frames, so its class
+    # indices stay below len(tables) << 15: int32 holds them for < 2^16 tables
     owner, ones = np.nonzero(np.array([_table_bits(m, t) for t in tables]))
     owner = owner.astype(np.int32)
     for rows, key in chunks:
@@ -292,7 +289,7 @@ def _dense_cover(m: int) -> np.ndarray:
     full = (1 << (1 << m)) - 1
     ntables = full + 1
     cover = np.zeros((m, ntables), dtype=np.uint16)
-    spaces = [[_span_order(vrows)[1:] for vrows in _subspace_rows(m, m - k)] for k in range(m)]
+    spaces = [_spans(np.concatenate(list(_subspace_rows(m, m - k))))[:, 1:].tolist() for k in range(m)]
     for lo in range(0, ntables, _COVER_CHUNK):
         tables = np.arange(lo, min(lo + _COVER_CHUNK, ntables), dtype=np.uint16)
         moved = [tables ^ _table_xor_translate(tables, m, v) for v in range(1 << m)]
@@ -634,11 +631,12 @@ def sampled_weak_parity_bs(
     points = _points(rf, x)
     if rf.local.is_constant():
         return 0, Gf2Matrix.identity(m)
-    rows = [tuple(1 << i for i in range(m)), *_sample_gl_rows(m, samples, seed)]
+    sample = _sample_gl_rows(m, samples, seed)
+    rows = np.vstack([1 << np.arange(m, dtype=sample.dtype), sample])
     # the span of B's columns is B y for every y
-    weights = _span_weights(m, _images(np.array(rows, dtype=np.uint8), m))
+    weights = _span_weights(m, _images(rows, m))
     v, j = _weak_scan(m, rf.local.table, weights, points)
-    return v, Gf2Matrix.from_bits(rows[j], m)
+    return v, Gf2Matrix.from_bits(rows[j].tolist(), m)
 
 
 # codes (tables x points x bases) per chunk of _wbs_scan: with their
@@ -697,18 +695,17 @@ def _coset_scan(n: int) -> tuple[tuple[int, tuple[Coset, ...], np.ndarray], ...]
     members) group per dimension from n down, direction spaces in
     _subspace_rows order, then rhs increasing; members[i] lists cosets[i]
     in restrict's canonical frame order."""
-    dtype = np.min_scalar_type((1 << n) - 1)
     out = []
     for dim in range(n, -1, -1):
         # each direction space's orthogonal complement spans the constraints
-        spaces = list(_subspace_rows(n, dim))
-        cons = [_kernel_bits(v, n) for v in spaces]
+        spaces = np.concatenate(list(_subspace_rows(n, dim)))
+        cons = [_kernel_bits(v, n) for v in spaces.tolist()]
         k = n - dim
         cosets = tuple(Coset(n, Gf2Matrix.from_bits(c, n), Gf2Vector(k, r)) for c in cons for r in range(1 << k))
         # a stable sort by class key (x's rhs) puts each coset's least member first
-        key = _images(np.array(cons, dtype=dtype).reshape(len(spaces), k), n)
-        least = np.argsort(key, axis=1, kind="stable")[:, :: 1 << dim, None].astype(dtype)
-        span = _spans(np.array(spaces, dtype=dtype).reshape(len(spaces), dim))
+        key = _images(np.array(cons, dtype=spaces.dtype).reshape(len(spaces), k), n)
+        least = np.argsort(key, axis=1, kind="stable")[:, :: 1 << dim, None].astype(spaces.dtype)
+        span = _spans(spaces)
         members = (least ^ span[:, None]).reshape(len(cosets), 1 << dim)
         members.setflags(write=False)
         out.append((dim, cosets, members))

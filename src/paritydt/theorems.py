@@ -24,7 +24,7 @@ from . import budget, certify, classical, comm, construct, parity
 from .boolfn import BooleanFunction, _table_bits, _walsh, fourier, restrict, shift
 from .classical import DENSE_MAX_DIM
 from .errors import BudgetExceededError, ParitydtError
-from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_class_chunks, _images, _parities, _row_chunks, _sample_gl_rows
+from .gf2 import Coset, Gf2Matrix, Gf2Vector, _gl_classes, _images, _parities, _row_chunks, _sample_gl_rows
 
 __all__ = [
     "Family",
@@ -215,7 +215,7 @@ def _eq_coplusc(f: BooleanFunction, seed: int) -> dict | None:
     # at Qy, so one B per set of columns reaches every such pair
     best = np.full(size, 255, dtype=np.uint8)
     bits = _table_bits(n, f.table)
-    for rows in _gl_class_chunks(n):
+    for rows in _row_chunks(_gl_classes(n), n):
         img = _images(rows, n)
         tables, inverse = classical._distinct_tables(bits, img)
         profiles = np.array([list(classical.certificate_profile(BooleanFunction(n, t))) for t in tables],
@@ -261,13 +261,11 @@ def _invariance(f: BooleanFunction, seed: int) -> dict | None:
     (base,) = _parity_measures(n, [f.table])
     rnd = random.Random(f"invariance:{seed}:{n}:{f.table}")
     shifts = [Gf2Vector(n, rnd.randrange(1 << n)) for _ in range(20)]
-    rows = list(_sample_gl_rows(n, 20, rnd.getrandbits(63)))
+    rows = _sample_gl_rows(n, 20, rnd.getrandbits(63))
     transforms = [("shift", c, shift(f, c).table) for c in shifts]
     # the rotated tables x -> f(Bx) come from one gather
-    bits = _table_bits(n, f.table)
-    for chunk in _row_chunks(rows, n):
-        tables, inverse = classical._distinct_tables(bits, _images(chunk, n))
-        transforms += [("rotate", b, tables[i]) for b, i in zip(chunk, inverse)]
+    tables, inverse = classical._distinct_tables(_table_bits(n, f.table), _images(rows, n))
+    transforms += [("rotate", b, tables[i]) for b, i in zip(rows, inverse)]
     # each distinct table is measured once, all of them in one call
     new = list(dict.fromkeys(t for _, _, t in transforms if t != f.table))
     measured = {f.table: base, **dict(zip(new, _parity_measures(n, new)))}

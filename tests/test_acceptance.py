@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+from frame_oracle import reference_enumerate_subspaces
 from paritydt.boolfn import BooleanFunction, fourier, restrict
 from paritydt.certify import ParityOracle, essential_certificate_set, evaluate_via_certificates
 from paritydt.cli import Family, run_verification_suite
@@ -17,7 +18,6 @@ from paritydt.classical import decision_depth
 from paritydt.gf2 import (
     Coset,
     Gf2Vector,
-    _subspace_rows,
     enumerate_gl,
     gl_order,
     subspace_count,
@@ -251,7 +251,7 @@ def test_11_group_and_subspace_counts():
                 num *= (1 << n) - (1 << i)
                 den *= (1 << k) - (1 << i)
             binom = num // den
-            cnt = sum(1 for _ in _subspace_rows(n, k))
+            cnt = sum(1 for _ in reference_enumerate_subspaces(n, k))
             if not cnt == binom == subspace_count(n, k):
                 bad.append(f"[{n},{k}]")
     report("11 GL orders 6/168/20160 and Gaussian binomial subspace counts",

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from frame_oracle import dual_frames
+from frame_oracle import dual_frames, reference_enumerate_subspaces
 from paritydt import certify, gf2
 from paritydt import parity as parity_mod
 from paritydt.boolfn import BooleanFunction, as_restricted, parse_function_spec, restrict
@@ -17,7 +17,7 @@ from paritydt.certify import (
     verify_essential_set,
 )
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
-from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, _subspace_rows, parity, solve
+from paritydt.gf2 import Coset, Gf2Matrix, Gf2Vector, _span_order, parity, solve
 from paritydt.parity import c0_xor, c1_xor, parity_certificate
 
 
@@ -133,7 +133,7 @@ def test_min_one_certificate_matches_scalar_scan(monkeypatch):
         got = certify._min_one_certificate(rf)
         assert got == reference_min_one_certificate(rf), f.table
         if got is not None:
-            late += list(_subspace_rows(m, len(got[0]))).index(got[0]) >= 7
+            late += list(reference_enumerate_subspaces(m, len(got[0]))).index(got[0]) >= 7
     assert late
 
 

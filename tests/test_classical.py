@@ -532,7 +532,7 @@ def test_symmetrized_first_minimiser_wins_across_chunks(monkeypatch):
     # GL(4)'s 840 column classes in chunks of 100; the reference takes the
     # first minimiser over all 20,160 matrices at once
     monkeypatch.setattr(gf2, "_CHUNK_ENTRIES", 100 << 4)
-    assert [len(rows) for rows in gf2._gl_class_chunks(4)] == [100] * 8 + [40]
+    assert [len(rows) for rows in gf2._row_chunks(gf2._gl_classes(4), 4)] == [100] * 8 + [40]
     classes = [tuple(r) for r in gf2._gl_classes(4).tolist()]
     mats = list(gl_rows(4))
     img = gf2._images(np.array(mats, dtype=np.uint8), 4)
@@ -666,8 +666,8 @@ def _guarded(groups, k):
 def test_best_over_stops_once_every_table_reaches_top(monkeypatch):
     # every rotation of a constant measures 0, so the first chunk of
     # GL(5)'s column classes is the only one read
-    class_chunks = classical._gl_class_chunks
-    monkeypatch.setattr(classical, "_gl_class_chunks", lambda n: _guarded(class_chunks(n), 1))
+    row_chunks = classical._row_chunks
+    monkeypatch.setattr(classical, "_row_chunks", lambda rows, n: _guarded(row_chunks(rows, n), 1))
     with budget.extended(5):
         for t in (0, (1 << 32) - 1):
             for m in ("d", "c", "bs"):

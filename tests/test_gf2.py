@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basis_oracle import gl_rows, reduce_low
-from frame_oracle import dual_frames
+from frame_oracle import dual_frames, reference_enumerate_subspaces
 from paritydt import gf2
 from paritydt.errors import BudgetExceededError, DimensionError, DomainError
 from paritydt.gf2 import (
@@ -17,7 +17,6 @@ from paritydt.gf2 import (
     Gf2Matrix,
     Gf2Vector,
     _images,
-    _kernel_bits,
     _rref_bits,
     _span_order,
     _spans,
@@ -194,56 +193,62 @@ def test_subspace_count_gaussian_binomials():
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(n + 1)])
 def test_enumerate_subspaces_complete(n, d):
-    subs = list(_subspace_rows(n, d))
+    subs = [tuple(rows) for rows in np.concatenate(list(_subspace_rows(n, d))).tolist()]
     assert len(subs) == subspace_count(n, d)
     assert len(set(subs)) == len(subs)
     for rows in subs:
         assert len(_rref_bits(rows, n)[0]) == d
 
 
-def reference_enumerate_subspaces(n, d):
-    """The per-frame enumeration _subspace_rows replaced: pivot patterns in
-    lexicographic order, then one binary counter over all free entries,
-    row by row; each subspace as its RREF basis rows."""
-    for pivots in itertools.combinations(range(n), d):
-        pivset = set(pivots)
-        free = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivset]
-        for assign in range(1 << len(free)):
-            rows = [1 << p for p in pivots]
-            for t, (i, j) in enumerate(free):
-                if (assign >> t) & 1:
-                    rows[i] |= 1 << j
-            yield tuple(rows)
-
-
-@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("m", range(8))
 def test_dual_frames_match_subspace_construction(m):
+    # _subspace_rows' blocks hold at most _chunk_size(m) frames, in the
+    # smallest dtype, each within one pivot pattern, and concatenate to
+    # the oracle's frames
+    dtype = np.min_scalar_type((1 << m) - 1)
     for k in range(m + 1):
-        ref = [(rows, tuple(_kernel_bits(rows, m))) for rows in reference_enumerate_subspaces(m, k)]
-        assert list(dual_frames(m, k)) == ref, (m, k)
-        assert list(_subspace_rows(m, k)) == [w for w, _ in ref]
-        # the direction rows span the orthogonal complement
+        blocks = list(_subspace_rows(m, k))
+        for block in blocks:
+            assert block.dtype == dtype and block.shape[1] == k
+            assert 1 <= len(block) <= gf2._chunk_size(m)
+            assert len({tuple(r & -r for r in rows) for rows in block.tolist()}) == 1
+        ref = list(dual_frames(m, k))
+        assert len(ref) == subspace_count(m, k)
+        assert np.concatenate(blocks).tolist() == [list(w) for w, _ in ref], (m, k)
+        # the rows are independent and the direction rows span their
+        # orthogonal complement
         for w, v in ref:
-            assert len(w) + len(v) == m
+            assert len(_rref_bits(w, m)[0]) == len(w) and len(w) + len(v) == m
             assert all(parity(a & b) == 0 for a in w for b in v)
+
+
+def test_subspace_rows_never_builds_a_pivot_pattern_whole():
+    # the first pivot pattern of codimension 5 at m = 10 has 2^25 frames
+    blocks = _subspace_rows(10, 5)
+    first = next(blocks)
+    assert first.shape == (gf2._chunk_size(10), 5) == (64, 5) and first.dtype == np.uint16
+    want = list(itertools.islice(reference_enumerate_subspaces(10, 5), 128))
+    assert (first.tolist(), next(blocks).tolist()) == ([list(w) for w in want[:64]], [list(w) for w in want[64:]])
 
 
 def test_dual_frames_streamed():
     # the subspaces are streamed, so none are kept at any dimension
     assert _subspace_rows(6, 3) is not _subspace_rows(6, 3)
-    frames = _subspace_rows(7, 6)
-    assert not isinstance(frames, tuple)
-    w = next(iter(frames))
-    assert w == (0b1, 0b10, 0b100, 0b1000, 0b10000, 0b100000)
+    block = next(_subspace_rows(7, 6))
+    # the first pivot pattern's 64 frames, each row free at e_7 and the
+    # first row fastest
+    assert block.shape == (64, 6) and block[:, 0].tolist() == [0b1, 0b1000001] * 32
+    assert block[0].tolist() == [0b1, 0b10, 0b100, 0b1000, 0b10000, 0b100000]
     # the first frame's orthogonal complement is the last coordinate
-    assert next(dual_frames(7, 6)) == (w, (0b1000000,))
+    assert next(dual_frames(7, 6)) == (tuple(block[0].tolist()), (0b1000000,))
 
 
 def test_enumerate_subspaces_refuses_before_yielding():
-    for gen in (_subspace_rows(13, 1), dual_frames(13, 1)):
-        with pytest.raises(BudgetExceededError, match="n <= 12, got 13"):
-            next(iter(gen))
-    assert next(_subspace_rows(12, 0)) == ()
+    gen = _subspace_rows(13, 1)
+    with pytest.raises(BudgetExceededError, match="n <= 12, got 13"):
+        next(gen)
+    block = next(_subspace_rows(12, 0))
+    assert block.shape == (1, 0) and block.dtype == np.uint16
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -329,10 +334,12 @@ def test_enumerate_gl_matches_reference_recursion(n):
 def test_gl_0_is_the_empty_matrix():
     assert list(enumerate_gl(0)) == [Gf2Matrix(0, ())]
     assert sample_gl(0, 3, 5) == [Gf2Matrix(0, ())] * 3
-    assert list(gf2._sample_gl_rows(0, 2, 1)) == [(), ()]
-    for bad in (enumerate_gl(-1), gf2._sample_gl_rows(-1, 1, 0)):
-        with pytest.raises(DimensionError, match="n -1 outside 0..24"):
-            next(iter(bad))
+    assert gf2._sample_gl_rows(0, 2, 1).shape == (2, 0)
+    with pytest.raises(DimensionError, match="n -1 outside 0..24"):
+        next(enumerate_gl(-1))
+    # the sampler is no generator: it refuses at the call
+    with pytest.raises(DimensionError, match="n -1 outside 0..24"):
+        gf2._sample_gl_rows(-1, 1, 0)
 
 
 def test_gl_5_walk_memory_flat():
@@ -348,9 +355,16 @@ def test_gl_5_walk_memory_flat():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("n,count,seed", [(1, 3, 0), (3, 20, 11), (6, 5, 2), (9, 4, 7)])
+@pytest.mark.parametrize(
+    "n,count,seed", [(1, 3, 0), (3, 20, 11), (6, 5, 2), (9, 4, 7), (0, 2, 1), (2, 7, 102), (4, 7, 104), (5, 7, 105)]
+)
 def test_sample_gl_matches_reference_sampler(n, count, seed):
-    assert sample_gl(n, count, seed) == reference_sample_gl(n, count, seed)
+    want = reference_sample_gl(n, count, seed)
+    assert sample_gl(n, count, seed) == want
+    # the draws come as one (count, n) array in the smallest dtype
+    rows = gf2._sample_gl_rows(n, count, seed)
+    assert rows.shape == (count, n) and rows.dtype == np.min_scalar_type((1 << n) - 1)
+    assert [tuple(r) for r in rows.tolist()] == [b.row_bits for b in want]
 
 
 def test_enumerate_gl_budget():
@@ -392,9 +406,9 @@ def test_gl_classes_refusals():
     with pytest.raises(DimensionError, match="n -1 outside 0..24"):
         gf2._gl_classes(-1)
     # the chunks of a class list are its slices, in order
-    sizes = [len(chunk) for chunk in gf2._gl_class_chunks(5)]
-    assert sizes == [2048] * 40 + [1408]
-    assert np.concatenate(list(gf2._gl_class_chunks(5))).tolist() == gf2._gl_classes(5).tolist()
+    chunks = list(gf2._row_chunks(gf2._gl_classes(5), 5))
+    assert [len(chunk) for chunk in chunks] == [2048] * 40 + [1408]
+    assert np.concatenate(chunks).tolist() == gf2._gl_classes(5).tolist()
 
 
 def test_sample_gl_deterministic():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from basis_oracle import sorted_bases
 from coset_oracle import max_over_cosets
-from frame_oracle import dual_frames
+from frame_oracle import dual_frames, reference_enumerate_subspaces
 from packing_oracle import reference_max_packing
 
 from paritydt import budget, classical, construct, gf2, theorems
@@ -35,7 +35,6 @@ from paritydt.gf2 import (
     _kernel_bits,
     _solve_bits,
     _span_order,
-    _subspace_rows,
     parity,
     sample_gl,
     solve,
@@ -217,12 +216,12 @@ def reference_wbs_xor(m, table):
 
 def reference_parity_bs(f):
     """The restrict-per-coset scan: directions by decreasing dimension in
-    _subspace_rows order, right-hand sides increasing, first strict
+    canonical subspace order, right-hand sides increasing, first strict
     maximum as the witness."""
     n = f.arity
     best, witness = -1, None
     for dim in range(n, -1, -1):
-        for vrows in _subspace_rows(n, dim):
+        for vrows in reference_enumerate_subspaces(n, dim):
             wrows = _kernel_bits(vrows, n)
             for rhs in range(1 << len(wrows)):
                 coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
@@ -513,7 +512,7 @@ def test_certificates_match_scalar_scan_structured():
 def test_frame_keys_kept_up_to_six_then_streamed():
     rows, key = parity_mod._frame_keys(5, 2)
     assert parity_mod._frame_keys(5, 2)[0] is rows
-    assert [tuple(int(w) for w in r) for r in rows] == list(_subspace_rows(5, 2))
+    assert [tuple(r) for r in rows.tolist()] == list(reference_enumerate_subspaces(5, 2))
     for i in (0, 77, len(rows) - 1):
         ws = [int(w) for w in rows[i]]
         assert [int(c) for c in key[i]] == [sum(parity(w & y) << j for j, w in enumerate(ws)) for y in range(32)]
@@ -538,7 +537,7 @@ def test_certificate_first_frame_past_chunk(monkeypatch):
         for y in range(1 << m):
             k, cert = parity_certificate(f, Gf2Vector(m, y))
             # on the identity frame the witness rows are the frame's own
-            index = list(_subspace_rows(m, k)).index(cert.coset.constraints.row_bits)
+            index = list(reference_enumerate_subspaces(m, k)).index(cert.coset.constraints.row_bits)
             late[m] += index >= 7
     # some first certifying frames lie past the first chunk
     assert late[4] and late[5] + late[6]
@@ -912,6 +911,11 @@ def test_sampled_wbs_is_upper_bound():
     g = BooleanFunction(5, 0x12345678)
     v, _ = sampled_weak_parity_bs(g, Gf2Vector(5, 0), samples=5, seed=1)
     assert 0 <= v <= 5
+    # the identity is tried first: it reaches the least value, 1, of the
+    # dictator x_1, so it is the witness whatever the samples
+    dictator = parse_function_spec("zoo:dictator:4")
+    for seed in range(5):
+        assert sampled_weak_parity_bs(dictator, Gf2Vector(4, 0), 1, seed) == (1, Gf2Matrix.identity(4))
 
 
 def test_wbs_budget():
@@ -1153,11 +1157,11 @@ def test_pbs_witness_matches_reference_n4_seeded():
 # n = 5 is the largest arity parity_bs builds the scan for (2,451 cosets)
 @pytest.mark.parametrize("n", range(6))
 def test_coset_scan_matches_subspace_construction(n):
-    """Directions by decreasing dimension in _subspace_rows order,
+    """Directions by decreasing dimension in canonical subspace order,
     constraints their orthogonal complement, right-hand sides increasing."""
     ref = []
     for dim in range(n, -1, -1):
-        for vrows in _subspace_rows(n, dim):
+        for vrows in reference_enumerate_subspaces(n, dim):
             wrows = _kernel_bits(vrows, n)
             for rhs in range(1 << len(wrows)):
                 coset = Coset(n, Gf2Matrix.from_bits(wrows, n), Gf2Vector(len(wrows), rhs))
